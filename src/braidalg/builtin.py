@@ -7,8 +7,8 @@ derived by cabling the vector braiding.
 
 from __future__ import annotations
 
-from .linalg import (BraidedSpace, SymMatrix, extend_braiding, linear_solve,
-                     nullspace)
+from .linalg import (BraidedSpace, SparseOperator, SymMatrix, extend_braiding,
+                     linear_solve, matrix_to_columns, nullspace)
 from .ncalg import NCPoly, RelationSet
 from .scalar import ONE, Q, ZERO, Scalar
 from .uqg import CartanData, Gen, Representation, presentation_from_cartan
@@ -100,7 +100,7 @@ def adjoint_sl2():
     assign = {}
     for kind in ("E", "F", "K"):
         action = coproduct_action(rep2, Gen(kind, 0), 2)
-        assign[Gen(kind, 0)] = _restrict(action, basis, 4)
+        assign[Gen(kind, 0)] = _restrict_to(action, basis, 4)
     psi22 = extend_braiding(vector_space, 2, 2).operator
     pair_basis = [_vec_kron(bi, bj, 4) for bi in basis for bj in basis]
     braiding = _restrict_to(psi22, pair_basis, 16)
@@ -116,12 +116,7 @@ def _symmetric_square_basis(space: BraidedSpace) -> list[dict]:
     psi = space.braiding
     n2 = psi.rows
     shifted = psi - SymMatrix.identity(n2) * Q
-    rows = []
-    for i in range(n2):
-        row = {j: shifted.entries[i][j] for j in range(n2)
-               if not shifted.entries[i][j].is_zero()}
-        rows.append(row)
-    basis = nullspace(rows, n2)
+    basis = nullspace(matrix_to_columns(shifted.transpose()), n2)
     if len(basis) != 3:
         raise AssertionError("q-symmetric square of the sl_2 vector space "
                              "should be 3-dimensional")
@@ -132,26 +127,13 @@ def _vec_kron(a: dict, b: dict, dim: int) -> dict:
     return {x * dim + y: cx * cy for x, cx in a.items() for y, cy in b.items()}
 
 
-def _restrict(matrix: SymMatrix, basis: list[dict], dim: int) -> SymMatrix:
-    return _restrict_to(matrix, basis, dim)
-
-
 def _restrict_to(matrix: SymMatrix, basis: list[dict], dim: int) -> SymMatrix:
     """Express the action of `matrix` on span(basis) in that basis; raises
     if the span is not invariant."""
+    op = SparseOperator.from_matrix(matrix)
     cols = []
     for vec in basis:
-        image: dict = {}
-        for idx, c in vec.items():
-            for r in range(dim):
-                e = matrix.entries[r][idx]
-                if not e.is_zero():
-                    nv = image.get(r, ZERO) + e * c
-                    if nv.is_zero():
-                        image.pop(r, None)
-                    else:
-                        image[r] = nv
-        coeffs = linear_solve(basis, image, dim)
+        coeffs = linear_solve(basis, op.apply(vec), dim)
         if coeffs is None:
             raise AssertionError("subspace is not invariant under the operator")
         cols.append(coeffs)
@@ -167,11 +149,7 @@ def _eigenvalue_with_multiplicity(m: SymMatrix, multiplicity: int) -> Scalar:
         for sign in (ONE, -ONE):
             cand = Scalar.q_power(k) * sign
             shifted = m - SymMatrix.identity(size) * cand
-            rows = []
-            for i in range(size):
-                row = {j: shifted.entries[i][j] for j in range(size)
-                       if not shifted.entries[i][j].is_zero()}
-                rows.append(row)
+            rows = matrix_to_columns(shifted.transpose())
             if len(nullspace(rows, size)) == multiplicity:
                 return cand
     raise AssertionError("no monomial eigenvalue with the requested multiplicity")

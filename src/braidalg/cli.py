@@ -62,6 +62,14 @@ def _poly_string(coeffs) -> str:
     return " ".join(parts) if parts else "0"
 
 
+def degree(text: str) -> int:
+    """The argparse type of --max-degree: a non-negative integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _resolve_braiding(args, parser_name: str):
     """Returns (label, braiding candidate matrix) without requiring the
     braid equation to hold."""
@@ -294,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--builtin", help="builtin space, e.g. sl:3")
     src.add_argument("--input", help="rmatrix or relations fixture file")
     p.add_argument("--poly", help="univariate polynomial in x over Q(q)")
-    p.add_argument("--max-degree", type=int, default=3)
+    p.add_argument("--max-degree", type=degree, default=3)
     p.add_argument("--show-relations", action="store_true")
     p.add_argument("--hilbert", action="store_true")
     p.add_argument("--json-out")
@@ -311,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="quotient polynomial for ideal/measuring")
     p.add_argument("--samples", type=int, default=500)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-degree", type=int, default=3)
+    p.add_argument("--max-degree", type=degree, default=3)
     p.add_argument("--json-out")
     p.set_defaults(func=cmd_check)
 
@@ -319,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--builtin", help="builtin space, e.g. sl:2")
     src.add_argument("--input", help="rmatrix fixture file")
-    p.add_argument("--max-degree", type=int, default=3)
+    p.add_argument("--max-degree", type=degree, default=3)
     p.add_argument("--pair-with",
                    help="representation ('sl:n' or fixture) for the duality "
                         "checks")

@@ -12,15 +12,14 @@ truncated at a caller-supplied degree bound.
 from __future__ import annotations
 
 import random
-import threading
 from dataclasses import dataclass
 
-from .linalg import BraidedSpace, Echelon, SymMatrix, kron
+from .linalg import BraidedSpace, Echelon, SparseOperator, vec_add_scaled
 from .ncalg import (NCPoly, RelationSet, complete_rewrite, hilbert,
                     word_index)
 from .report import Report
 from .scalar import ONE, ZERO, Scalar
-from .uqg import Representation, word_action
+from .uqg import Representation
 
 
 def t_names(n: int) -> list[str]:
@@ -73,18 +72,11 @@ class FRTPresentation:
         return pairs
 
 
-def _middle_swap(n: int) -> SymMatrix:
-    """The permutation of V1 (x) V2 (x) V3 (x) V4 exchanging factors 2, 3."""
-    size = n ** 4
-    rows = [[ZERO] * size for _ in range(size)]
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                for d in range(n):
-                    src = ((a * n + b) * n + c) * n + d
-                    dst = ((a * n + c) * n + b) * n + d
-                    rows[dst][src] = ONE
-    return SymMatrix(rows)
+def _middle_swap(n: int) -> list[int]:
+    """The permutation of V1 (x) V2 (x) V3 (x) V4 exchanging factors 2, 3,
+    as an index map; it is its own inverse."""
+    return [((a * n + c) * n + b) * n + d for a in range(n) for b in range(n)
+            for c in range(n) for d in range(n)]
 
 
 def frt_relations(space: BraidedSpace) -> FRTPresentation:
@@ -99,21 +91,17 @@ def frt_relations(space: BraidedSpace) -> FRTPresentation:
     requires.  The choice is recorded on the presentation.
     """
     n = space.dim
-    m = space.braiding
-    tau = _middle_swap(n)
-    ident = SymMatrix.identity(n * n)
-    alpha = tau * kron(m.transpose(), ident) * tau
-    beta = tau * kron(ident, m) * tau
-    diff = alpha - beta
-    ech = Echelon()
-    cols: list[dict] = [{} for _ in range(diff.cols)]
-    for i, row in enumerate(diff.entries):
-        for j, v in enumerate(row):
-            if not v.is_zero():
-                cols[j][i] = v
-    for col in cols:
-        ech.insert(col)
     n2 = n * n
+    ident = SparseOperator.identity(n2)
+    a = SparseOperator.from_matrix(space.braiding.transpose()).kron(ident)
+    b = ident.kron(SparseOperator.from_matrix(space.braiding))
+    # column p of tau K tau is column tau(p) of K with its rows moved by tau
+    tau = _middle_swap(n)
+    ech = Echelon()
+    for j in tau:
+        col = dict(a.columns[j])
+        vec_add_scaled(col, b.columns[j], -ONE)
+        ech.insert({tau[i]: v for i, v in col.items()})
     rels = []
     for vec in ech.basis():
         coeffs = {}
@@ -177,9 +165,10 @@ def frt_hilbert(pres: FRTPresentation, max_degree: int) -> list[int]:
 class PairingTable:
     """Lazily populated pairing <generator word, t-word>.
 
-    The memo caches the action of each generator word on each tensor power;
-    population is guarded by a lock so concurrent readers only ever see
-    completed entries, and the values are deterministic.
+    The memo `_actions` keeps the action of each generator word on each
+    tensor power it was asked for, keyed by (word, k); the action of u is
+    the first symbol's extended action applied to the columns of the
+    memoized action of the rest of u.
     """
 
     def __init__(self, rep: Representation, n: int):
@@ -187,25 +176,24 @@ class PairingTable:
             raise ValueError("representation dimension must equal n")
         self.rep = rep
         self.n = n
-        self._lock = threading.Lock()
         self._actions: dict = {}
 
-    def action(self, u_word, k: int) -> SymMatrix:
-        key = (tuple(u_word), k)
-        with self._lock:
-            cached = self._actions.get(key)
-        if cached is not None:
-            return cached
-        value = word_action(self.rep, tuple(u_word), k)
-        with self._lock:
-            self._actions.setdefault(key, value)
-        return value
+    def action(self, u_word, k: int) -> SparseOperator:
+        u = tuple(u_word)
+        op = self._actions.get((u, k))
+        if op is None:
+            if u:
+                op = self.rep.actions.extended(u[0], k).compose(
+                    self.action(u[1:], k))
+            else:
+                op = SparseOperator.identity(self.rep.dim ** k)
+            self._actions[(u, k)] = op
+        return op
 
     def pair(self, u_word, t_word) -> Scalar:
         k = len(t_word)
         if k == 0:
-            m = self.action(u_word, 0)
-            return m.entries[0][0]
+            return self.action(u_word, 0).columns[0].get(0, ZERO)
         rows = []
         cols = []
         for letter in t_word:
@@ -215,7 +203,8 @@ class PairingTable:
             rows.append(a)
             cols.append(b)
         x = self.action(u_word, k)
-        return x.entries[word_index(tuple(rows), self.n)][word_index(tuple(cols), self.n)]
+        return x.columns[word_index(tuple(cols), self.n)].get(
+            word_index(tuple(rows), self.n), ZERO)
 
     def pair_poly(self, u_word, p: NCPoly) -> Scalar:
         out = ZERO
@@ -267,7 +256,7 @@ def check_duality(rep: Representation, space: BraidedSpace,
             value = ZERO
             for k, row, col, c in entries:
                 x = table.action(u, k)
-                value = value + x.entries[row][col] * c
+                value = value + x.columns[col].get(row, ZERO) * c
             if not value.is_zero():
                 bad += 1
                 if not witness:

@@ -1,9 +1,11 @@
-"""Dense symbolic matrices over Q(q), Kronecker products with the row-major
-index convention (the first tensor factor is most significant), braid-equation
-and minimal-polynomial checks, extension of a braiding to tensor powers, and
-deterministic echelon/null-space solvers.
+"""Dense symbolic matrices and column-sparse operators over Q(q), Kronecker
+products with the row-major index convention (the first tensor factor is
+most significant), braid-equation and minimal-polynomial checks, extension
+of a braiding to tensor powers, and deterministic echelon/null-space
+solvers.
 
-All matrices are immutable; every operation is a pure function.
+Matrices and operators are never mutated after construction; every
+operation is a pure function.
 """
 
 from __future__ import annotations
@@ -107,29 +109,6 @@ class SymMatrix:
         return SymMatrix([[self.entries[i][j] for i in range(self.rows)]
                           for j in range(self.cols)])
 
-    def power(self, k: int) -> "SymMatrix":
-        if not self.is_square():
-            raise ValueError("power of a non-square matrix")
-        out = SymMatrix.identity(self.rows)
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def column(self, j: int) -> tuple:
-        return tuple(self.entries[i][j] for i in range(self.rows))
-
-    def apply(self, vec) -> tuple:
-        """Apply to a column vector given as a sequence of Scalars."""
-        out = [ZERO] * self.rows
-        for j, v in enumerate(vec):
-            if v.is_zero():
-                continue
-            for i in range(self.rows):
-                e = self.entries[i][j]
-                if not e.is_zero():
-                    out[i] = out[i] + e * v
-        return tuple(out)
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, SymMatrix) and self.rows == other.rows
                 and self.cols == other.cols and self.entries == other.entries)
@@ -174,6 +153,66 @@ def kron_all(mats) -> SymMatrix:
     for m in mats[1:]:
         out = kron(out, m)
     return out
+
+
+class SparseOperator:
+    """A linear map stored by columns: `columns[j]` is the image of the j-th
+    basis vector as a dict {row: Scalar} with no zero entries.  Operators on
+    tensor powers are built, composed and applied column by column, so the
+    work follows the non-zero entries, not the dense size."""
+
+    __slots__ = ("rows", "columns")
+
+    def __init__(self, rows: int, columns):
+        self.rows = rows
+        self.columns = list(columns)
+
+    @classmethod
+    def from_matrix(cls, m: SymMatrix) -> "SparseOperator":
+        return cls(m.rows, matrix_to_columns(m))
+
+    @classmethod
+    def identity(cls, n: int) -> "SparseOperator":
+        return cls(n, ({j: ONE} for j in range(n)))
+
+    def apply(self, vec: dict) -> dict:
+        """The image of a sparse column vector {index: Scalar}."""
+        out: dict = {}
+        for j, v in vec.items():
+            vec_add_scaled(out, self.columns[j], v)
+        return out
+
+    def compose(self, other: "SparseOperator") -> "SparseOperator":
+        """self after other."""
+        return SparseOperator(self.rows, map(self.apply, other.columns))
+
+    def kron(self, other: "SparseOperator") -> "SparseOperator":
+        """Kronecker product, with the index flattening of `kron`."""
+        r = other.rows
+        return SparseOperator(self.rows * r, (
+            {i * r + k: a * b for i, a in ca.items() for k, b in cb.items()}
+            for ca in self.columns for cb in other.columns))
+
+    def to_matrix(self) -> SymMatrix:
+        dense = [[ZERO] * len(self.columns) for _ in range(self.rows)]
+        for j, col in enumerate(self.columns):
+            for i, v in col.items():
+                dense[i][j] = v
+        return SymMatrix(dense)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, SparseOperator) and self.rows == other.rows
+                and self.columns == other.columns)
+
+
+def combine(rows: int, size: int, terms) -> SparseOperator:
+    """sum c * op over the (op, c) pairs in `terms`, each with `size`
+    columns."""
+    cols: list[dict] = [{} for _ in range(size)]
+    for op, c in terms:
+        for acc, col in zip(cols, op.columns):
+            vec_add_scaled(acc, col, c)
+    return SparseOperator(rows, cols)
 
 
 def flip_matrix(n: int) -> SymMatrix:
@@ -423,22 +462,19 @@ def check_braid(op: SymMatrix) -> BraidCheck:
     symbolically on the triple tensor power."""
     if not op.is_square():
         raise ValueError("braid operator must be square")
-    n2 = op.rows
-    n = _int_sqrt(n2)
-    ident = SymMatrix.identity(n)
-    a = kron(op, ident)
-    b = kron(ident, op)
-    lhs = b * a * b
-    rhs = a * b * a
-    if lhs == rhs:
-        return BraidCheck(True)
-    for col in range(n ** 3):
-        for row in range(n ** 3):
-            if lhs.entries[row][col] != rhs.entries[row][col]:
-                i, rem = divmod(col, n * n)
-                j, k = divmod(rem, n)
-                return BraidCheck(False, (i, j, k))
-    raise AssertionError("unreachable")
+    n = _int_sqrt(op.rows)
+    x = SparseOperator.from_matrix(op)
+    ident = SparseOperator.identity(n)
+    a = x.kron(ident)
+    b = ident.kron(x)
+    lhs = b.compose(a).compose(b)
+    rhs = a.compose(b).compose(a)
+    for col, (left, right) in enumerate(zip(lhs.columns, rhs.columns)):
+        if left != right:
+            i, rem = divmod(col, n * n)
+            j, k = divmod(rem, n)
+            return BraidCheck(False, (i, j, k))
+    return BraidCheck(True)
 
 
 def _int_sqrt(n2: int) -> int:

@@ -460,12 +460,9 @@ def index_word(idx: int, alphabet: int, length: int) -> Word:
     return tuple(reversed(out))
 
 
-def vector_to_poly(vec, alphabet: int, length: int) -> NCPoly:
-    coeffs = {}
-    for idx, c in enumerate(vec):
-        if not c.is_zero():
-            coeffs[index_word(idx, alphabet, length)] = c
-    return NCPoly(coeffs)
+def vector_to_poly(vec: dict, alphabet: int, length: int) -> NCPoly:
+    return NCPoly({index_word(idx, alphabet, length): c
+                   for idx, c in vec.items()})
 
 
 def poly_to_vector(p: NCPoly, alphabet: int, length: int) -> dict:

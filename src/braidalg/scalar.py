@@ -24,6 +24,11 @@ class ScalarParseError(ValueError):
         self.position = position
 
 
+class ScalarZeroDivision(ScalarParseError, ZeroDivisionError):
+    """An expression that divides by zero: malformed input, and still a
+    ZeroDivisionError for callers that catch arithmetic errors."""
+
+
 _F0 = Fraction(0)
 _F1 = Fraction(1)
 
@@ -337,6 +342,10 @@ class Scalar:
         if self.num.is_zero() or other.num.is_zero():
             return ZERO
         if self.den.is_one() and other.den.is_one():
+            if other.num.is_one():
+                return self
+            if self.num.is_one():
+                return other
             return Scalar._raw(self.num * other.num, self.den)
         return Scalar(self.num * other.num, self.den * other.den)
 
@@ -473,7 +482,10 @@ class _Parser:
         return ch
 
     def parse(self) -> dict:
-        value = self.parse_expr()
+        try:
+            value = self.parse_expr()
+        except ZeroDivisionError as exc:
+            raise ScalarZeroDivision(str(exc), self.pos) from exc
         if self.peek():
             self.error(f"unexpected character {self.peek()!r}")
         return value

@@ -14,9 +14,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from math import gcd
 
-from .linalg import (BraidedSpace, Echelon, SymMatrix, extend_braiding,
-                     invert, kron_all)
+from .linalg import (BraidedSpace, Echelon, SparseOperator, SymMatrix,
+                     combine, extend_braiding, invert)
 from .ncalg import (DegreeBoundError, NCPoly, RelationSet, RewriteSystem,
                     vector_to_poly, word_index)
 from .report import Report
@@ -168,20 +170,12 @@ def _symmetrizers(a) -> tuple:
         denominator = 1
         for i in component:
             denominator = denominator * d[i].denominator // \
-                _int_gcd(denominator, d[i].denominator)
+                gcd(denominator, d[i].denominator)
         values = [int(d[i] * denominator) for i in component]
-        g = 0
-        for v in values:
-            g = _int_gcd(g, v)
+        g = gcd(*values)
         for i, v in zip(component, values):
             d[i] = v // g
     return tuple(d)
-
-
-def _int_gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 class GeneratorCoalgebra:
@@ -387,6 +381,63 @@ def presentation_from_cartan(cartan: CartanData) -> UqPresentation:
                           antipode, q_i)
 
 
+class ActionTable:
+    """The actions of coalgebra symbols on V and, through the iterated
+    coproduct, on every tensor power V^(x)k, as sparse operators.
+
+    Products of symbol matrices on V are built once per word, and the
+    extended action of a symbol once per (symbol, k), from the Kronecker
+    products of the word operators in its iterated coproduct."""
+
+    def __init__(self, coalgebra: GeneratorCoalgebra, matrices: dict,
+                 dim: int):
+        self.coalgebra = coalgebra
+        self.matrices = matrices
+        self.dim = dim
+        self._words: dict = {}
+        self._extended: dict = {}
+
+    def word(self, word) -> SparseOperator:
+        """The product of the matrices of `word` on V (the identity for the
+        empty word)."""
+        op = self._words.get(word)
+        if op is None:
+            if len(word) > 1:
+                op = self.word(word[:-1]).compose(self.word(word[-1:]))
+            elif word:
+                op = SparseOperator.from_matrix(self.matrices[word[0]])
+            else:
+                op = SparseOperator.identity(self.dim)
+            self._words[word] = op
+        return op
+
+    def extended(self, symbol, k: int) -> SparseOperator:
+        """The action of `symbol` on V^(x)k through the (k-1)-fold coproduct;
+        k = 0 gives the 1x1 operator of the counit."""
+        key = (symbol, k)
+        op = self._extended.get(key)
+        if op is None:
+            if k == 0:
+                eps = self.coalgebra.counit[symbol]
+                op = SparseOperator(1, [{} if eps.is_zero() else {0: eps}])
+            elif k == 1:
+                op = self.word((symbol,))
+            else:
+                size = self.dim ** k
+                op = combine(size, size, (
+                    (reduce(SparseOperator.kron, map(self.word, words)), c)
+                    for words, c in self.coalgebra.iterated_terms(symbol, k)))
+            self._extended[key] = op
+        return op
+
+    def act(self, uword, vec: dict, k: int) -> dict:
+        """Apply a word of symbols to a vector of V^(x)k, last symbol
+        first."""
+        for s in reversed(uword):
+            vec = self.extended(s, k).apply(vec)
+        return vec
+
+
 class Representation:
     """An assignment of generator symbols to matrices of equal size.  The
     K_i images must be invertible; whether the assignment annihilates the
@@ -417,28 +468,14 @@ class Representation:
             if g not in assign:
                 raise ValueError(f"missing matrix for {g}")
         self.assign = assign
-        self._ext_cache: dict = {}
-        self._word_cache: dict = {}
+        self.actions = ActionTable(presentation.coalgebra(), assign, self.dim)
 
     def matrix(self, gen: Gen) -> SymMatrix:
         return self.assign[gen]
 
-    def word_matrix(self, word) -> SymMatrix:
-        if not word:
-            return SymMatrix.identity(self.dim)
-        cached = self._word_cache.get(word)
-        if cached is None:
-            cached = self.assign[word[0]]
-            for g in word[1:]:
-                cached = cached * self.assign[g]
-            self._word_cache[word] = cached
-        return cached
-
     def genpoly_matrix(self, poly: GenPoly) -> SymMatrix:
-        out = SymMatrix.zeros(self.dim)
-        for w, c in poly.items():
-            out = out + self.word_matrix(w) * c
-        return out
+        return combine(self.dim, self.dim, (
+            (self.actions.word(w), c) for w, c in poly.items())).to_matrix()
 
     def coalgebra(self) -> GeneratorCoalgebra:
         return self.presentation.coalgebra()
@@ -464,21 +501,20 @@ def generator_independence(rep: Representation) -> Report:
     be dependent (for the vector representation K + K^-1 is a multiple of
     the identity), while the extended actions separate them."""
     d = rep.dim
-    d2 = d * d
     ech = Echelon()
     independent = True
     for g in [None] + list(rep.presentation.generators):
         if g is None:
-            m1, m2 = SymMatrix.identity(d), SymMatrix.identity(d2)
+            ops = (SparseOperator.identity(d), SparseOperator.identity(d * d))
         else:
-            m1, m2 = rep.matrix(g), coproduct_action(rep, g, 2)
-        vec = {i * d + j: v for i, row in enumerate(m1.entries)
-               for j, v in enumerate(row) if not v.is_zero()}
-        offset = d * d
-        for i, row in enumerate(m2.entries):
-            for j, v in enumerate(row):
-                if not v.is_zero():
-                    vec[offset + i * d2 + j] = v
+            ops = (rep.actions.extended(g, 1), rep.actions.extended(g, 2))
+        vec = {}
+        offset = 0
+        for op in ops:
+            for j, col in enumerate(op.columns):
+                for i, v in col.items():
+                    vec[offset + i * op.rows + j] = v
+            offset += op.rows * op.rows
         if not ech.insert(vec):
             independent = False
     report = Report("generator linear independence")
@@ -497,33 +533,15 @@ def coproduct_action(rep: Representation, gen: Gen, k: int) -> SymMatrix:
         raise ValueError(f"unknown generator {gen}")
     if k < 0:
         raise ValueError("tensor power must be non-negative")
-    return _ext_action(rep.coalgebra(), rep, gen, k)
-
-
-def _ext_action(coalg: GeneratorCoalgebra, rep, symbol, k: int) -> SymMatrix:
-    cached = rep._ext_cache.get((symbol, k))
-    if cached is not None:
-        return cached
-    if k == 0:
-        out = SymMatrix([[coalg.counit[symbol]]])
-    elif k == 1:
-        out = rep.matrix(symbol)
-    else:
-        out = SymMatrix.zeros(rep.dim ** k)
-        for words, c in coalg.iterated_terms(symbol, k):
-            out = out + kron_all([rep.word_matrix(w) for w in words]) * c
-    rep._ext_cache[(symbol, k)] = out
-    return out
+    return rep.actions.extended(gen, k).to_matrix()
 
 
 def word_action(rep: Representation, word, k: int) -> SymMatrix:
     """Action of a word of generators on the k-th tensor power (identity
     for the empty word)."""
-    coalg = rep.coalgebra()
-    out = SymMatrix.identity(rep.dim ** k if k else 1)
-    for g in word:
-        out = out * _ext_action(coalg, rep, g, k)
-    return out
+    size = rep.dim ** k
+    return SparseOperator(size, (rep.actions.act(tuple(word), {j: ONE}, k)
+                                 for j in range(size))).to_matrix()
 
 
 def check_preserves_R(rep: Representation, space: BraidedSpace) -> Report:
@@ -533,18 +551,20 @@ def check_preserves_R(rep: Representation, space: BraidedSpace) -> Report:
     if rep.dim != space.dim:
         raise ValueError("representation and braided space dimensions differ")
     report = Report(f"braiding preserved by {rep.name}")
-    psi = space.braiding
+    psi = SparseOperator.from_matrix(space.braiding)
     for g in rep.presentation.generators:
-        x = coproduct_action(rep, g, 2)
-        residual = psi * x - x * psi
-        ok = residual.is_zero()
+        x = rep.actions.extended(g, 2)
+        lhs, rhs = psi.compose(x), x.compose(psi)
+        ok = lhs == rhs
         report.add(f"{g} commutes with braiding on degree 2", ok,
-                   "" if ok else f"residual:\n{residual}")
-    psi21 = extend_braiding(space, 2, 1).operator
-    psi12 = extend_braiding(space, 1, 2).operator
+                   "" if ok else
+                   f"residual:\n{lhs.to_matrix() - rhs.to_matrix()}")
+    psi21 = SparseOperator.from_matrix(extend_braiding(space, 2, 1).operator)
+    psi12 = SparseOperator.from_matrix(extend_braiding(space, 1, 2).operator)
     for g in rep.presentation.generators:
-        x3 = coproduct_action(rep, g, 3)
-        ok = (psi21 * x3 == x3 * psi21) and (psi12 * x3 == x3 * psi12)
+        x3 = rep.actions.extended(g, 3)
+        ok = (psi21.compose(x3) == x3.compose(psi21)
+              and psi12.compose(x3) == x3.compose(psi12))
         report.add(f"{g} commutes with degree-3 extensions", ok)
     return report
 
@@ -558,12 +578,10 @@ def act_on_quotient(rep: Representation, rs: RewriteSystem, gen: Gen,
     if k > rs.degree_bound:
         raise DegreeBoundError(
             f"degree {k} exceeds completion bound {rs.degree_bound}")
-    if k == 0:
-        eps = rep.presentation.counit[gen]
-        return NCPoly({(): eps}) if not eps.is_zero() else NCPoly()
-    x = coproduct_action(rep, gen, k)
-    col = x.column(word_index(word, rs.alphabet))
-    return rs.normal_form(vector_to_poly(col, rs.alphabet, k))
+    if gen not in rep.assign:
+        raise ValueError(f"unknown generator {gen}")
+    vec = rep.actions.act((gen,), {word_index(word, rs.alphabet): ONE}, k)
+    return rs.normal_form(vector_to_poly(vec, rs.alphabet, k))
 
 
 def check_ideal_preserved(rep: Representation, rels: RelationSet) -> Report:
@@ -574,19 +592,10 @@ def check_ideal_preserved(rep: Representation, rels: RelationSet) -> Report:
     for vec in rels.vectors():
         ech.insert(dict(vec))
     for g in rep.presentation.generators:
-        x = coproduct_action(rep, g, 2)
+        x = rep.actions.extended(g, 2)
         for idx, rel in enumerate(rels.relations):
-            vec = {}
-            for w, c in rel.coeffs.items():
-                col = word_index(w, rels.alphabet)
-                for i in range(x.rows):
-                    e = x.entries[i][col]
-                    if not e.is_zero():
-                        nv = vec.get(i, ZERO) + e * c
-                        if nv.is_zero():
-                            vec.pop(i, None)
-                        else:
-                            vec[i] = nv
+            vec = x.apply({word_index(w, rels.alphabet): c
+                           for w, c in rel.coeffs.items()})
             ok = ech.contains(vec)
             report.add(f"{g} maps relation {idx + 1} into the span", ok)
     return report
@@ -600,36 +609,24 @@ class _MeasuringContext:
     sigma(c)(a a') = sum sigma(c_(1))(a) sigma(c_(2))(a'), evaluated inside
     a quotient with all sides normal-formed."""
 
-    def __init__(self, coalg: GeneratorCoalgebra, matrices: dict,
-                 rs: RewriteSystem):
-        self.coalg = coalg
-        self.rs = rs
-        dims = {m.rows for m in matrices.values()}
-        if len(dims) != 1:
-            raise ValueError("action matrices must share one dimension")
-        self.dim = dims.pop()
-        if self.dim != rs.alphabet:
+    def __init__(self, actions: ActionTable, rs: RewriteSystem):
+        if actions.dim != rs.alphabet:
             raise ValueError("matrix size must match the quotient alphabet")
-        self._holder = _MatrixHolder(matrices, self.dim)
+        self.actions = actions
+        self.coalg = actions.coalgebra
+        self.rs = rs
+        self.dim = actions.dim
 
     def act_word(self, uword, target: NCPoly) -> NCPoly:
-        """Action of a word of coalgebra symbols on a quotient element."""
-        out = NCPoly()
+        """Action of a word of coalgebra symbols on a quotient element: each
+        homogeneous part of the target is one vector of V^(x)k."""
         grouped: dict = {}
         for w, c in target.coeffs.items():
-            grouped.setdefault(len(w), {})[w] = c
-        for k, words in sorted(grouped.items()):
-            if k == 0:
-                eps = self.coalg.counit_word(uword)
-                for w, c in words.items():
-                    out = out + NCPoly({(): eps * c})
-                continue
-            x = SymMatrix.identity(self.dim ** k)
-            for s in uword:
-                x = x * _ext_action(self.coalg, self._holder, s, k)
-            for w, c in words.items():
-                col = x.column(word_index(w, self.dim))
-                out = out + vector_to_poly(col, self.dim, k).scale(c)
+            grouped.setdefault(len(w), {})[word_index(w, self.dim)] = c
+        out = NCPoly()
+        for k, vec in grouped.items():
+            out = out + vector_to_poly(self.actions.act(uword, vec, k),
+                                       self.dim, k)
         return out
 
     def measuring_residual(self, symbol, a, b):
@@ -650,30 +647,6 @@ class _MeasuringContext:
         return lhs - rhs
 
 
-class _MatrixHolder:
-    """Duck-typed stand-in for Representation inside _ext_action."""
-
-    def __init__(self, matrices: dict, dim: int):
-        self.assign = matrices
-        self.dim = dim
-        self._ext_cache: dict = {}
-        self._word_cache: dict = {}
-
-    def matrix(self, symbol) -> SymMatrix:
-        return self.assign[symbol]
-
-    def word_matrix(self, word) -> SymMatrix:
-        if not word:
-            return SymMatrix.identity(self.dim)
-        cached = self._word_cache.get(word)
-        if cached is None:
-            cached = self.assign[word[0]]
-            for g in word[1:]:
-                cached = cached * self.assign[g]
-            self._word_cache[word] = cached
-        return cached
-
-
 def _monomial_pairs(rs: RewriteSystem, max_degree: int) -> list:
     words = []
     for d in range(max_degree + 1):
@@ -682,51 +655,15 @@ def _monomial_pairs(rs: RewriteSystem, max_degree: int) -> list:
             if len(a) + len(b) <= max_degree]
 
 
-def check_measuring(rep: Representation, rs: RewriteSystem,
-                    sample_count: int = 500, max_degree: int = 4,
-                    seed: int = 0) -> Report:
-    """Sample the measuring identity over monomial pairs in the quotient:
-    exhaustive when at most `sample_count` pairs exist, otherwise a seeded
-    random sample of that size."""
-    ctx = _MeasuringContext(rep.coalgebra(), rep.assign, rs)
-    pairs = _monomial_pairs(rs, max_degree)
-    exhaustive = len(pairs) <= sample_count
-    if not exhaustive:
-        rng = random.Random(seed)
-        pairs = rng.sample(pairs, sample_count)
-    report = Report(f"measuring identity for {rep.name}")
-    report.notes.append(
-        f"{'exhaustive over' if exhaustive else 'seeded sample of'} "
-        f"{len(pairs)} monomial pairs, total degree <= {max_degree}")
-    for g in rep.presentation.generators:
-        bad = 0
-        witness = ""
-        for a, b in pairs:
-            residual = ctx.measuring_residual(g, a, b)
-            if not residual.is_zero():
-                bad += 1
-                if not witness:
-                    witness = (f"a={_word_str(a, rs.names)} "
-                               f"b={_word_str(b, rs.names)} "
-                               f"residual={residual.render(rs.names, rs.order)}")
-        report.add(f"{g} measures ({len(pairs)} pairs)", bad == 0,
-                   "" if bad == 0 else f"{bad} counterexamples; first: {witness}")
-    return report
-
-
-def check_derivation_measuring(lie_actions: list, rs: RewriteSystem,
-                               max_degree: int = 4) -> Report:
-    """Classical mode: the Leibniz rule sigma(X)(ab) = sigma(X)(a)b +
-    a sigma(X)(b) for each listed matrix, exhaustively over monomial pairs.
-    This is the measuring identity for primitive coalgebra generators."""
-    symbols = [f"X{i + 1}" for i in range(len(lie_actions))]
-    coalg = GeneratorCoalgebra.classical(symbols)
-    matrices = dict(zip(symbols, lie_actions))
-    ctx = _MeasuringContext(coalg, matrices, rs)
-    pairs = _monomial_pairs(rs, max_degree)
-    report = Report("derivation (Leibniz) measuring")
-    report.notes.append(
-        f"exhaustive over {len(pairs)} monomial pairs, total degree <= {max_degree}")
+def _measure(report: Report, actions: ActionTable, rs: RewriteSystem,
+             pairs: list, symbols, verb: str, show_residual: bool) -> Report:
+    """Check the measuring identity for every (symbol, pair), one report
+    item per symbol.  An empty pair list is refused: it would pass without
+    checking anything."""
+    if not pairs:
+        raise ValueError("no monomial pairs to check; raise the degree bound "
+                         "or the sample count")
+    ctx = _MeasuringContext(actions, rs)
     for s in symbols:
         bad = 0
         witness = ""
@@ -737,9 +674,49 @@ def check_derivation_measuring(lie_actions: list, rs: RewriteSystem,
                 if not witness:
                     witness = (f"a={_word_str(a, rs.names)} "
                                f"b={_word_str(b, rs.names)}")
-        report.add(f"{s} acts by derivations ({len(pairs)} pairs)", bad == 0,
+                    if show_residual:
+                        witness += (" residual="
+                                    + residual.render(rs.names, rs.order))
+        report.add(f"{s} {verb} ({len(pairs)} pairs)", bad == 0,
                    "" if bad == 0 else f"{bad} counterexamples; first: {witness}")
     return report
+
+
+def check_measuring(rep: Representation, rs: RewriteSystem,
+                    sample_count: int = 500, max_degree: int = 4,
+                    seed: int = 0) -> Report:
+    """Sample the measuring identity over monomial pairs in the quotient:
+    exhaustive when at most `sample_count` pairs exist, otherwise a seeded
+    random sample of that size.  Raises ValueError when no pair is left."""
+    pairs = _monomial_pairs(rs, max_degree)
+    exhaustive = len(pairs) <= sample_count
+    if not exhaustive:
+        pairs = random.Random(seed).sample(pairs, sample_count)
+    report = Report(f"measuring identity for {rep.name}")
+    report.notes.append(
+        f"{'exhaustive over' if exhaustive else 'seeded sample of'} "
+        f"{len(pairs)} monomial pairs, total degree <= {max_degree}")
+    return _measure(report, rep.actions, rs, pairs,
+                    rep.presentation.generators, "measures", True)
+
+
+def check_derivation_measuring(lie_actions: list, rs: RewriteSystem,
+                               max_degree: int = 4) -> Report:
+    """Classical mode: the Leibniz rule sigma(X)(ab) = sigma(X)(a)b +
+    a sigma(X)(b) for each listed matrix, exhaustively over monomial pairs.
+    This is the measuring identity for primitive coalgebra generators."""
+    dims = {m.rows for m in lie_actions}
+    if len(dims) != 1:
+        raise ValueError("action matrices must share one dimension")
+    symbols = [f"X{i + 1}" for i in range(len(lie_actions))]
+    actions = ActionTable(GeneratorCoalgebra.classical(symbols),
+                          dict(zip(symbols, lie_actions)), dims.pop())
+    pairs = _monomial_pairs(rs, max_degree)
+    report = Report("derivation (Leibniz) measuring")
+    report.notes.append(
+        f"exhaustive over {len(pairs)} monomial pairs, total degree <= {max_degree}")
+    return _measure(report, actions, rs, pairs, symbols,
+                    "acts by derivations", False)
 
 
 def _word_str(word, names) -> str:
@@ -751,12 +728,13 @@ def check_antipode(rep: Representation) -> Report:
     pres = rep.presentation
     report = Report(f"antipode identity in {rep.name}")
     for g in pres.generators:
-        acc = SymMatrix.zeros(rep.dim)
+        acc: GenPoly = {}
         for l, r, c in pres.delta[g]:
             s_l: GenPoly = {(): ONE}
             for sym in reversed(l):
                 s_l = _genpoly_mul(s_l, pres.antipode[sym])
-            acc = acc + (rep.genpoly_matrix(s_l) * rep.word_matrix(r)) * c
+            acc = _genpoly_add(acc, _genpoly_mul(s_l, {tuple(r): ONE}), c)
         expected = SymMatrix.identity(rep.dim) * pres.counit[g]
-        report.add(f"m(S x 1)delta({g}) = eps({g})1", acc == expected)
+        report.add(f"m(S x 1)delta({g}) = eps({g})1",
+                   rep.genpoly_matrix(acc) == expected)
     return report

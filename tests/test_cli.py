@@ -218,3 +218,33 @@ def test_reports_byte_identical(tmp_path):
     assert first.stdout == second.stdout
     assert (tmp_path / "a.json").read_bytes() == \
         (tmp_path / "b.json").read_bytes()
+
+
+def test_zero_division_in_poly_exits_2(capsys):
+    assert main(["chi", "--builtin", "sl:2", "--poly", "1/0"]) == 2
+    assert "division by the zero polynomial" in capsys.readouterr().err
+    assert main(["check", "--rep", "sl:2", "ideal", "--poly", "x - 0^-1"]) == 2
+
+
+def test_zero_division_in_fixture_exits_2(tmp_path, capsys):
+    fixture = tmp_path / "div0.json"
+    write_fixture({"kind": "rmatrix", "dim": 1, "form": "braiding",
+                   "entries": [["1/0"]]}, fixture)
+    assert main(["validate-r", "--input", str(fixture)]) == 2
+    assert "entries[0][0]" in capsys.readouterr().err
+
+
+def test_negative_max_degree_exits_2(capsys):
+    for argv in (["frt", "--builtin", "sl:2"],
+                 ["chi", "--builtin", "sl:2", "--poly", "x - q"],
+                 ["check", "--rep", "sl:2", "measuring"]):
+        assert main(argv + ["--max-degree", "-1"]) == 2, argv
+        assert "non-negative" in capsys.readouterr().err
+
+
+def test_measuring_over_no_pairs_exits_2(capsys):
+    for extra in (["--samples", "0"], ["--samples", "0", "--max-degree", "0"]):
+        assert main(["check", "--rep", "sl:2", "measuring"] + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no monomial pairs" in captured.err

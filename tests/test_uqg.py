@@ -262,6 +262,22 @@ def test_derivation_measuring_zero_and_identity():
     assert report.passed
 
 
+def test_measuring_checks_refuse_empty_pair_lists(sl2):
+    rep, space = sl2
+    rs = complete_rewrite(relations_from_image(space, parse_poly("x - q")), 2)
+    with pytest.raises(ValueError):
+        check_measuring(rep, rs, sample_count=0, max_degree=2)
+    with pytest.raises(ValueError):
+        check_measuring(rep, rs, max_degree=-1)
+    plane = complete_rewrite(
+        relations_from_image(classical_space(2), parse_poly("x - 1")), 2)
+    with pytest.raises(ValueError):
+        check_derivation_measuring(sl2_lie_actions(), plane, max_degree=-1)
+    # the unit pair alone is a real check: the counit is multiplicative
+    report = check_measuring(rep, rs, max_degree=0)
+    assert report.passed and "1 monomial pairs" in report.notes[0]
+
+
 def test_antipode_identity(sl2, sl3):
     for rep, _ in (sl2, sl3):
         assert check_antipode(rep).passed

@@ -93,44 +93,46 @@ def adjoint_sl2():
 
     Returns (Representation, BraidedSpace).
     """
-    from .uqg import coproduct_action
-
     rep2, vector_space = builtin_sl(2)
-    basis = _symmetric_square_basis(vector_space)
-    assign = {}
-    for kind in ("E", "F", "K"):
-        action = coproduct_action(rep2, Gen(kind, 0), 2)
-        assign[Gen(kind, 0)] = _restrict_to(action, basis, 4)
-    psi22 = extend_braiding(vector_space, 2, 2).operator
+    basis = _eigenspace(vector_space.braiding, Q)
+    if len(basis) != 3:
+        raise AssertionError("q-symmetric square of the sl_2 vector space "
+                             "should be 3-dimensional")
+    assign = {Gen(kind, 0): _restrict_to(rep2.actions.extended(Gen(kind, 0), 2),
+                                         basis, 4)
+              for kind in ("E", "F", "K")}
+    psi22 = SparseOperator.from_matrix(
+        extend_braiding(vector_space, 2, 2).operator)
     pair_basis = [_vec_kron(bi, bj, 4) for bi in basis for bj in basis]
     braiding = _restrict_to(psi22, pair_basis, 16)
-    eigenvalue = _eigenvalue_with_multiplicity(braiding, 3)
+    # The pair basis b_i b_j is a weight basis, lowest weight first, and the
+    # braiding keeps weights and is one scalar on each summand of
+    # L(4) + L(2) + L(0).  So b0 b0 spans the lowest weight of L(4), and the
+    # weight block {b0 b1, b1 b0} has trace lambda(L(4)) + lambda(L(2)).
+    r = braiding.entries
+    eigenvalue = r[1][1] + r[3][3] - r[0][0]
+    if len(_eigenspace(braiding, eigenvalue)) != 3:
+        raise AssertionError("the L(2) summand of the adjoint square should "
+                             "be a 3-dimensional eigenspace")
     scale = -(Q ** (-2)) / eigenvalue
     rep = Representation(rep2.presentation, assign,
                          name="sl:2 adjoint representation")
     return rep, BraidedSpace.from_braiding(braiding * scale)
 
 
-def _symmetric_square_basis(space: BraidedSpace) -> list[dict]:
-    """Echelon basis of the q-eigenspace of the braiding inside V (x) V."""
-    psi = space.braiding
-    n2 = psi.rows
-    shifted = psi - SymMatrix.identity(n2) * Q
-    basis = nullspace(matrix_to_columns(shifted.transpose()), n2)
-    if len(basis) != 3:
-        raise AssertionError("q-symmetric square of the sl_2 vector space "
-                             "should be 3-dimensional")
-    return basis
+def _eigenspace(m: SymMatrix, c: Scalar) -> list[dict]:
+    """Echelon basis of the c-eigenspace of a square matrix."""
+    shifted = m - SymMatrix.identity(m.rows) * c
+    return nullspace(matrix_to_columns(shifted.transpose()), m.rows)
 
 
 def _vec_kron(a: dict, b: dict, dim: int) -> dict:
     return {x * dim + y: cx * cy for x, cx in a.items() for y, cy in b.items()}
 
 
-def _restrict_to(matrix: SymMatrix, basis: list[dict], dim: int) -> SymMatrix:
-    """Express the action of `matrix` on span(basis) in that basis; raises
-    if the span is not invariant."""
-    op = SparseOperator.from_matrix(matrix)
+def _restrict_to(op: SparseOperator, basis: list[dict], dim: int) -> SymMatrix:
+    """Express the action of `op` on span(basis) in that basis; raises if
+    the span is not invariant."""
     cols = []
     for vec in basis:
         coeffs = linear_solve(basis, op.apply(vec), dim)
@@ -139,20 +141,6 @@ def _restrict_to(matrix: SymMatrix, basis: list[dict], dim: int) -> SymMatrix:
         cols.append(coeffs)
     size = len(basis)
     return SymMatrix([[cols[j][i] for j in range(size)] for i in range(size)])
-
-
-def _eigenvalue_with_multiplicity(m: SymMatrix, multiplicity: int) -> Scalar:
-    """Search candidate monomial eigenvalues +-q^k for the one whose
-    eigenspace has the requested dimension."""
-    size = m.rows
-    for k in range(-8, 9):
-        for sign in (ONE, -ONE):
-            cand = Scalar.q_power(k) * sign
-            shifted = m - SymMatrix.identity(size) * cand
-            rows = matrix_to_columns(shifted.transpose())
-            if len(nullspace(rows, size)) == multiplicity:
-                return cand
-    raise AssertionError("no monomial eigenvalue with the requested multiplicity")
 
 
 def resolve_builtin(spec: str):

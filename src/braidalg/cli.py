@@ -175,19 +175,19 @@ def cmd_chi(args) -> int:
                          "word is a relation and the quotient has no "
                          "component beyond degree 1")
             payload["warning"] = "f(braiding) invertible"
-    rs = complete_rewrite(rels, args.max_degree)
+    rs = complete_rewrite(rels, max(2, args.max_degree))
     payload["rules_added_by_degree"] = {str(k): v
                                         for k, v in sorted(rs.log.rules_added.items())}
     if rs.log.rules_added:
         added = ", ".join(f"{v} at degree {k}"
                           for k, v in sorted(rs.log.rules_added.items()))
         lines.append(f"completion: added {added} "
-                     f"(bound {args.max_degree})")
+                     f"(bound {rs.degree_bound})")
     else:
         lines.append(f"completion: confluent at degree 2 "
-                     f"(bound {args.max_degree})")
+                     f"(bound {rs.degree_bound})")
     dims = hilbert(rs, args.max_degree)
-    if dims[1] < rels.alphabet:
+    if len(dims) > 1 and dims[1] < rels.alphabet:
         lines.append("warning: degree-1 dimension dropped; the generating "
                      "space does not inject into the quotient")
         payload["warning_degree1"] = dims[1]

@@ -10,7 +10,7 @@ from pathlib import Path
 
 from .linalg import BraidedSpace, SymMatrix, flip_matrix
 from .ncalg import NCPoly, RelationSet
-from .scalar import Scalar, ScalarParseError, parse_scalar
+from .scalar import ZERO, Scalar, ScalarParseError, parse_scalar
 from .uqg import CartanData, Gen, Representation, presentation_from_cartan
 
 KINDS = ("rmatrix", "representation", "relations")
@@ -147,7 +147,7 @@ def relations_from_fixture(doc: dict) -> RelationSet:
                     f"relation {ridx}: words are lists of 1-based indices")
             key = tuple(i - 1 for i in word)
             c = _parse_entry(term["coeff"], f"relation {ridx}")
-            coeffs[key] = coeffs.get(key, parse_scalar("0")) + c
+            coeffs[key] = coeffs.get(key, ZERO) + c
         polys.append(NCPoly(coeffs))
     try:
         return RelationSet(alphabet, polys, names=doc.get("names"))

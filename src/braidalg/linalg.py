@@ -254,15 +254,11 @@ class Echelon:
 
     def reduce(self, vec: dict) -> dict:
         out = dict(vec)
-        while True:
-            hit = None
-            for i in sorted(out):
-                if i in self.pivot_rows:
-                    hit = i
-                    break
-            if hit is None:
-                return out
-            vec_add_scaled(out, self.pivot_rows[hit], -out[hit])
+        # rows are fully reduced (no row holds another row's pivot), so the
+        # only pivots to clear are those already in vec
+        for i in [i for i in vec if i in self.pivot_rows]:
+            vec_add_scaled(out, self.pivot_rows[i], -out[i])
+        return out
 
     def insert(self, vec: dict) -> bool:
         """Reduce vec against the basis; add the residual if non-zero.
@@ -531,52 +527,32 @@ class BraidingExtension:
     operator: SymMatrix
 
 
-def _braiding_at(space: BraidedSpace, position: int, total: int) -> SymMatrix:
-    """The braiding applied to adjacent factors (position, position+1),
-    1-based, inside the `total`-fold tensor power."""
-    d = space.dim
-    mats = []
-    p = 1
-    while p <= total:
-        if p == position:
-            mats.append(space.braiding)
-            p += 2
-        else:
-            mats.append(SymMatrix.identity(d))
-            p += 1
-    return kron_all(mats)
-
-
 def extend_braiding(space: BraidedSpace, m: int, n: int,
                     pair_order: str = "left") -> BraidingExtension:
-    """Build the degree-(m, n) braiding extension from adjacent-pair
-    applications.  `pair_order` selects which block is walked first ("left"
-    moves the left block strand by strand, "right" the right block); the
-    braid equation makes both recipes agree.
+    """Build the degree-(m, n) braiding extension from adjacent crossings.
+    `pair_order` selects which block is walked first ("left" moves the left
+    block strand by strand, "right" the right block); the braid equation
+    makes both recipes agree.
     """
-    if m < 0 or n < 0:
-        raise ValueError("degrees must be non-negative")
-    total = m + n
-    if m == 0 or n == 0:
-        op = SymMatrix.identity(space.dim ** max(total, 0) if total else 1)
-        return BraidingExtension(space, m, n, op)
-    op = SymMatrix.identity(space.dim ** total)
     if pair_order == "left":
         # strand i of the left block crosses the n right strands in turn,
         # innermost strand (i = m) first
-        for i in range(m, 0, -1):
-            block = SymMatrix.identity(space.dim ** total)
-            for p in range(i, i + n):
-                block = _braiding_at(space, p, total) * block
-            op = block * op
+        positions = [p for i in range(m, 0, -1) for p in range(i, i + n)]
     elif pair_order == "right":
         # strand j of the right block crosses the m left strands in turn,
         # innermost strand (j = 1) first
-        for j in range(1, n + 1):
-            block = SymMatrix.identity(space.dim ** total)
-            for p in range(m + j - 1, j - 1, -1):
-                block = _braiding_at(space, p, total) * block
-            op = block * op
+        positions = [p for j in range(1, n + 1)
+                     for p in range(m + j - 1, j - 1, -1)]
     else:
         raise ValueError("pair_order must be 'left' or 'right'")
-    return BraidingExtension(space, m, n, op)
+    if m < 0 or n < 0:
+        raise ValueError("degrees must be non-negative")
+    d, total = space.dim, m + n
+    psi = SparseOperator.from_matrix(space.braiding)
+    op = SparseOperator.identity(d ** total)
+    for p in positions:
+        # the braiding on the adjacent factors (p, p + 1), 1-based
+        crossing = (SparseOperator.identity(d ** (p - 1)).kron(psi)
+                    .kron(SparseOperator.identity(d ** (total - p - 1))))
+        op = crossing.compose(op)
+    return BraidingExtension(space, m, n, op.to_matrix())

@@ -258,9 +258,6 @@ class CompletionLog:
     degree_bound: int
     rules_added: dict[int, int] = field(default_factory=dict)
 
-    def confluent_at_quadratic(self) -> bool:
-        return not self.rules_added
-
 
 class RewriteSystem:
     """Oriented rules leading-word -> lower polynomial, overlap-completed
@@ -463,12 +460,3 @@ def index_word(idx: int, alphabet: int, length: int) -> Word:
 def vector_to_poly(vec: dict, alphabet: int, length: int) -> NCPoly:
     return NCPoly({index_word(idx, alphabet, length): c
                    for idx, c in vec.items()})
-
-
-def poly_to_vector(p: NCPoly, alphabet: int, length: int) -> dict:
-    vec = {}
-    for w, c in p.coeffs.items():
-        if len(w) != length:
-            raise ValueError("polynomial is not homogeneous of the given length")
-        vec[word_index(w, alphabet)] = c
-    return vec

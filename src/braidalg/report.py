@@ -29,10 +29,6 @@ class Report:
     def failures(self) -> list[CheckItem]:
         return [item for item in self.items if not item.passed]
 
-    def extend(self, other: "Report"):
-        self.items.extend(other.items)
-        self.notes.extend(other.notes)
-
     def render(self) -> str:
         lines = [f"== {self.title}: {'PASS' if self.passed else 'FAIL'} =="]
         for note in self.notes:

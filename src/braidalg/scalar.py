@@ -135,21 +135,6 @@ class LaurentPoly:
         out._hash = None
         return out
 
-    def scale(self, r: Fraction) -> "LaurentPoly":
-        if not r:
-            return LaurentPoly()
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.coeffs = {e: v * r for e, v in self.coeffs.items()}
-        out._hash = None
-        return out
-
-    def shift(self, k: int) -> "LaurentPoly":
-        """Multiply by q**k."""
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.coeffs = {e + k: v for e, v in self.coeffs.items()}
-        out._hash = None
-        return out
-
     def evaluate(self, q0: Fraction) -> Fraction:
         q0 = Fraction(q0)
         if q0 == 0 and self.coeffs and min(self.coeffs) < 0:

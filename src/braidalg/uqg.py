@@ -48,13 +48,6 @@ class Gen:
         return cls(kind, int(name[1:]) - 1)
 
 
-_KIND_ORDER = {"E": 0, "F": 1, "K": 2, "Ki": 3}
-
-
-def _gen_sort_key(g: Gen):
-    return (_KIND_ORDER[g.kind], g.index)
-
-
 GenWord = tuple  # tuple[Gen, ...]
 GenPoly = dict  # {GenWord: Scalar}
 
@@ -81,16 +74,6 @@ def _genpoly_add(a: GenPoly, b: GenPoly, scale: Scalar = ONE) -> GenPoly:
         else:
             out[w] = nv
     return out
-
-
-def render_genpoly(p: GenPoly) -> str:
-    if not p:
-        return "0"
-    parts = []
-    for w in sorted(p, key=lambda w: (len(w), tuple(map(_gen_sort_key, w)))):
-        mono = " ".join(str(g) for g in w) if w else "1"
-        parts.append(f"({p[w]})*{mono}")
-    return " + ".join(parts)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,15 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from braidalg import builtin_sl
+
+# the CLI tests start `python -m braidalg` in a subprocess, which does not
+# see the `pythonpath` setting of pytest
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 
 @pytest.fixture(scope="session")

@@ -4,6 +4,7 @@ from braidalg.builtin import (adjoint_sl2, builtin_sl, classical_space,
                               sl2_lie_actions, sl_rtt_matrix,
                               sp4_symmetric_relations, resolve_builtin)
 from braidalg.linalg import SymMatrix, check_braid, flip_matrix, minimal_poly
+from braidalg.linalg import nullspace
 from braidalg.ncalg import complete_rewrite, hilbert, relations_from_image
 from braidalg.scalar import ONE, Q, parse_poly, parse_scalar, q_integer
 from braidalg.uqg import (Gen, check_ideal_preserved, check_measuring,
@@ -120,3 +121,11 @@ def test_rtt_matrix_off_diagonal_count():
     qm = parse_scalar("q - q^-1")
     hits = sum(1 for row in rtt.entries for e in row if e == qm)
     assert hits == 3  # one per pair i < j
+
+
+def test_adjoint_braiding_eigenspace_at_minus_q_inverse_squared():
+    _, space = adjoint_sl2()
+    shifted = space.braiding + SymMatrix.identity(9) * Q ** -2
+    rows = [{j: v for j, v in enumerate(row) if not v.is_zero()}
+            for row in shifted.entries]
+    assert len(nullspace(rows, 9)) == 3

@@ -248,3 +248,12 @@ def test_measuring_over_no_pairs_exits_2(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "no monomial pairs" in captured.err
+
+
+def test_chi_low_max_degree_completes_at_degree_2(capsys):
+    for degree, dims in (("1", "hilbert: 1, 2"), ("0", "hilbert: 1")):
+        assert main(["chi", "--builtin", "sl:2", "--poly", "x - q",
+                     "--hilbert", "--max-degree", degree]) == 0
+        out = capsys.readouterr().out
+        assert "(bound 2)" in out
+        assert out.splitlines()[-1] == dims

@@ -2,11 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from braidalg.linalg import (BraidedSpace, BraidEquationError, SymMatrix,
                              check_braid, eval_poly_at_matrix,
                              extend_braiding, flip_matrix, image_subspace,
                              invert, kron, minimal_poly, solve_commutant)
+from braidalg.linalg import Echelon, linear_solve, vec_add_scaled
 from braidalg.scalar import (LaurentPoly, ONE, Q, ZERO, Scalar, parse_poly,
                              parse_scalar)
 from braidalg.builtin import sl_rtt_matrix
@@ -204,3 +206,56 @@ def test_rtt_entries_match_printed_matrix(sl2):
     assert rtt.entries[2][2] == ONE
     assert rtt.entries[1][2] == parse_scalar("q - q^-1")
     assert rtt.entries[2][1] == ZERO
+
+
+def _crossings(space, positions, total):
+    """The dense product of the braidings on adjacent factors (p, p + 1),
+    1-based, the first listed position applied last."""
+    out = SymMatrix.identity(space.dim ** total)
+    for p in positions:
+        out = out * _kron_id(space, space.braiding, p - 1, total - p - 1)
+    return out
+
+
+def test_extend_braiding_equals_dense_crossings(sl2):
+    _, space = sl2
+    # psi^(2,2) = (psi^(1,2) x 1)(1 x psi^(1,2)) with
+    # psi^(1,2) = (1 x psi)(psi x 1); psi^(3,1) moves the last strand to
+    # the front
+    expected = {(2, 2): _crossings(space, (2, 1, 3, 2), 4),
+                (3, 1): _crossings(space, (1, 2, 3), 4)}
+    for (m, n), dense in expected.items():
+        for order in ("left", "right"):
+            assert extend_braiding(space, m, n, order).operator == dense, \
+                (m, n, order)
+
+
+def test_extend_braiding_rejects_bad_order_on_empty_blocks(sl2):
+    _, space = sl2
+    for m, n in ((0, 2), (2, 0), (0, 0)):
+        with pytest.raises(ValueError, match="pair_order"):
+            extend_braiding(space, m, n, "middle")
+
+
+_scalars = st.builds(lambda c, e: Scalar(LaurentPoly({e: Fraction(c)})),
+                     st.integers(-2, 2), st.integers(-1, 1))
+_vectors = st.dictionaries(st.integers(0, 5), _scalars, max_size=4).map(
+    lambda v: {i: c for i, c in v.items() if not c.is_zero()})
+
+
+@settings(max_examples=60, deadline=None)
+@given(basis=st.lists(_vectors, max_size=4), vec=_vectors)
+def test_echelon_reduce_clears_pivots_within_the_span(basis, vec):
+    ech = Echelon()
+    for b in basis:
+        ech.insert(b)
+    reduced = ech.reduce(vec)
+    assert not set(reduced) & set(ech.pivot_rows)
+    diff = dict(vec)
+    vec_add_scaled(diff, reduced, -ONE)
+    coeffs = linear_solve(basis, diff, 6)
+    assert coeffs is not None
+    combo: dict = {}
+    for b, c in zip(basis, coeffs):
+        vec_add_scaled(combo, b, c)
+    assert combo == diff

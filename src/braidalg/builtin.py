@@ -101,10 +101,9 @@ def adjoint_sl2():
     assign = {Gen(kind, 0): _restrict_to(rep2.actions.extended(Gen(kind, 0), 2),
                                          basis, 4)
               for kind in ("E", "F", "K")}
-    psi22 = SparseOperator.from_matrix(
-        extend_braiding(vector_space, 2, 2).operator)
     pair_basis = [_vec_kron(bi, bj, 4) for bi in basis for bj in basis]
-    braiding = _restrict_to(psi22, pair_basis, 16)
+    braiding = _restrict_to(extend_braiding(vector_space, 2, 2).sparse,
+                            pair_basis, 16)
     # The pair basis b_i b_j is a weight basis, lowest weight first, and the
     # braiding keeps weights and is one scalar on each summand of
     # L(4) + L(2) + L(0).  So b0 b0 spans the lowest weight of L(4), and the

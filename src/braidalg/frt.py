@@ -94,7 +94,7 @@ def frt_relations(space: BraidedSpace) -> FRTPresentation:
     n2 = n * n
     ident = SparseOperator.identity(n2)
     a = SparseOperator.from_matrix(space.braiding.transpose()).kron(ident)
-    b = ident.kron(SparseOperator.from_matrix(space.braiding))
+    b = ident.kron(space.psi)
     # column p of tau K tau is column tau(p) of K with its rows moved by tau
     tau = _middle_swap(n)
     ech = Echelon()
@@ -226,7 +226,12 @@ def check_duality(rep: Representation, space: BraidedSpace,
     """Annihilation <u, r> = 0 for every generator word u up to the degree
     bound and every relation, plus product/coproduct compatibility of the
     pairing on seeded samples.  The multiplication-order orientation that
-    holds is recorded in the report notes."""
+    holds is recorded in the report notes.  A degree bound or sample count
+    below 1 is refused: the sampled items would then check nothing."""
+    if max_degree < 1:
+        raise ValueError(f"duality check needs max_degree >= 1, got {max_degree}")
+    if samples < 1:
+        raise ValueError(f"duality check needs samples >= 1, got {samples}")
     pres = frt_relations(space)
     table = PairingTable(rep, space.dim)
     gens = list(rep.presentation.generators)

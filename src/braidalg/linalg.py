@@ -337,13 +337,6 @@ def vec_to_tuple(vec: dict, dim: int) -> tuple:
     return tuple(vec.get(i, ZERO) for i in range(dim))
 
 
-def rank(m: SymMatrix) -> int:
-    ech = Echelon()
-    for col in matrix_to_columns(m):
-        ech.insert(col)
-    return ech.rank
-
-
 def invert(m: SymMatrix) -> SymMatrix | None:
     """Inverse via augmented elimination; None when singular."""
     if not m.is_square():
@@ -458,8 +451,10 @@ def check_braid(op: SymMatrix) -> BraidCheck:
     symbolically on the triple tensor power."""
     if not op.is_square():
         raise ValueError("braid operator must be square")
-    n = _int_sqrt(op.rows)
-    x = SparseOperator.from_matrix(op)
+    return _braid_check(SparseOperator.from_matrix(op), _int_sqrt(op.rows))
+
+
+def _braid_check(x: SparseOperator, n: int) -> BraidCheck:
     ident = SparseOperator.identity(n)
     a = x.kron(ident)
     b = ident.kron(x)
@@ -487,11 +482,13 @@ class BraidedSpace:
     quadratic-relations construction on V* (x) V, and `braiding`, the
     operator that satisfies the braid equation of a braided algebra and
     commutes with coproduct actions.  The two are related by composition
-    with the flip: braiding = rtt . flip.  Both the braid equation and
-    invertibility are verified at construction.
+    with the flip: braiding = rtt . flip.  `psi` is the braiding as a
+    `SparseOperator`, the form that operator algebra on tensor powers
+    uses.  Both the braid equation and invertibility are verified at
+    construction.
     """
 
-    __slots__ = ("dim", "rtt", "braiding", "braiding_inverse")
+    __slots__ = ("dim", "rtt", "braiding", "psi", "braiding_inverse")
 
     def __init__(self, rtt: SymMatrix):
         n = _int_sqrt(rtt.rows)
@@ -500,7 +497,8 @@ class BraidedSpace:
         self.dim = n
         self.rtt = rtt
         self.braiding = rtt * flip_matrix(n)
-        check = check_braid(self.braiding)
+        self.psi = SparseOperator.from_matrix(self.braiding)
+        check = _braid_check(self.psi, n)
         if not check.holds:
             raise BraidEquationError(check.describe(n))
         inv = invert(self.braiding)
@@ -519,12 +517,17 @@ class BraidedSpace:
 
 @dataclass(frozen=True)
 class BraidingExtension:
-    """The operator that moves the first m tensor factors past the last n."""
+    """The operator that moves the first m tensor factors past the last n,
+    kept sparse; `operator` is its dense view."""
 
     space: BraidedSpace
     m: int
     n: int
-    operator: SymMatrix
+    sparse: SparseOperator
+
+    @property
+    def operator(self) -> SymMatrix:
+        return self.sparse.to_matrix()
 
 
 def extend_braiding(space: BraidedSpace, m: int, n: int,
@@ -548,11 +551,10 @@ def extend_braiding(space: BraidedSpace, m: int, n: int,
     if m < 0 or n < 0:
         raise ValueError("degrees must be non-negative")
     d, total = space.dim, m + n
-    psi = SparseOperator.from_matrix(space.braiding)
     op = SparseOperator.identity(d ** total)
     for p in positions:
         # the braiding on the adjacent factors (p, p + 1), 1-based
-        crossing = (SparseOperator.identity(d ** (p - 1)).kron(psi)
+        crossing = (SparseOperator.identity(d ** (p - 1)).kron(space.psi)
                     .kron(SparseOperator.identity(d ** (total - p - 1))))
         op = crossing.compose(op)
-    return BraidingExtension(space, m, n, op.to_matrix())
+    return BraidingExtension(space, m, n, op)

@@ -173,8 +173,8 @@ def _join_terms(parts) -> str:
     return " ".join(out)
 
 
-def default_names(alphabet: int, prefix: str = "x") -> list[str]:
-    return [f"{prefix}{i + 1}" for i in range(alphabet)]
+def default_names(alphabet: int) -> list[str]:
+    return [f"x{i + 1}" for i in range(alphabet)]
 
 
 class RelationSet:
@@ -184,10 +184,9 @@ class RelationSet:
     and no relation's leading word occurs in another relation.
     """
 
-    def __init__(self, alphabet: int, relations, order: WordOrder | None = None,
-                 names=None):
+    def __init__(self, alphabet: int, relations, names=None):
         self.alphabet = alphabet
-        self.order = order or WordOrder(alphabet)
+        self.order = WordOrder(alphabet)
         self.names = list(names) if names else default_names(alphabet)
         for rel in relations:
             if not rel.is_homogeneous(2):
@@ -233,12 +232,11 @@ class RelationSet:
         return lines
 
 
-def relations_from_image(space, f: list[Scalar], names=None,
-                         order: WordOrder | None = None) -> RelationSet:
+def relations_from_image(space, f: list[Scalar]) -> RelationSet:
     """Echelonized basis of f(braiding)(V (x) V) as degree-2 relations in
     x_1..x_n.  `f` is given by ascending coefficients."""
     if not f or all(c.is_zero() for c in f):
-        return RelationSet(space.dim, [], order=order, names=names)
+        return RelationSet(space.dim, [])
     m = eval_poly_at_matrix(f, space.braiding)
     n = space.dim
     rels = []
@@ -248,7 +246,7 @@ def relations_from_image(space, f: list[Scalar], names=None,
             if not c.is_zero():
                 coeffs[(idx // n, idx % n)] = c
         rels.append(NCPoly(coeffs))
-    return RelationSet(n, rels, order=order, names=names)
+    return RelationSet(n, rels)
 
 
 @dataclass

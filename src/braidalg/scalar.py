@@ -63,10 +63,6 @@ class LaurentPoly:
     def one(cls) -> "LaurentPoly":
         return cls({0: _F1})
 
-    @classmethod
-    def q_power(cls, k: int, coeff=_F1) -> "LaurentPoly":
-        return cls({k: coeff})
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -87,19 +83,6 @@ class LaurentPoly:
         c = dict(self.coeffs)
         for e, v in other.coeffs.items():
             nv = c.get(e, _F0) + v
-            if nv:
-                c[e] = nv
-            else:
-                c.pop(e, None)
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.coeffs = c
-        out._hash = None
-        return out
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        c = dict(self.coeffs)
-        for e, v in other.coeffs.items():
-            nv = c.get(e, _F0) - v
             if nv:
                 c[e] = nv
             else:
@@ -308,11 +291,7 @@ class Scalar:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.den.is_one() and other.den.is_one():
-            return Scalar._raw(self.num - other.num, self.den)
-        if self.den == other.den:
-            return Scalar(self.num - other.num, self.den)
-        return Scalar(self.num * other.den - other.num * self.den, self.den * other.den)
+        return self + (-other)
 
     def __rsub__(self, other) -> "Scalar":
         return _coerce(other) - self

@@ -52,30 +52,6 @@ GenWord = tuple  # tuple[Gen, ...]
 GenPoly = dict  # {GenWord: Scalar}
 
 
-def _genpoly_mul(a: GenPoly, b: GenPoly) -> GenPoly:
-    out: GenPoly = {}
-    for wa, ca in a.items():
-        for wb, cb in b.items():
-            w = wa + wb
-            nv = out.get(w, ZERO) + ca * cb
-            if nv.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = nv
-    return out
-
-
-def _genpoly_add(a: GenPoly, b: GenPoly, scale: Scalar = ONE) -> GenPoly:
-    out = dict(a)
-    for w, c in b.items():
-        nv = out.get(w, ZERO) + c * scale
-        if nv.is_zero():
-            out.pop(w, None)
-        else:
-            out[w] = nv
-    return out
-
-
 @dataclass(frozen=True)
 class CartanData:
     """A symmetrizable Cartan matrix with its symmetrizers d_i."""
@@ -168,18 +144,17 @@ class GeneratorCoalgebra:
     (left word, right word, coefficient); the unit is the empty word and is
     implicitly group-like.  The classical mode uses primitive generators.
     Coassociativity and the counit laws are verified symbolically at
-    construction unless `validate=False`.
+    construction.
     """
 
-    def __init__(self, symbols, delta, counit, validate: bool = True):
+    def __init__(self, symbols, delta, counit):
         self.symbols = tuple(symbols)
         self.delta = delta
         self.counit = counit
-        if validate:
-            for report in (self.check_coassociativity(), self.check_counit()):
-                if not report.passed:
-                    bad = ", ".join(i.name for i in report.failures())
-                    raise ValueError(f"invalid coalgebra tables: {bad}")
+        for report in (self.check_coassociativity(), self.check_counit()):
+            if not report.passed:
+                bad = ", ".join(i.name for i in report.failures())
+                raise ValueError(f"invalid coalgebra tables: {bad}")
 
     @classmethod
     def classical(cls, symbols) -> "GeneratorCoalgebra":
@@ -212,12 +187,7 @@ class GeneratorCoalgebra:
             expanded = {}
             for words, c in terms:
                 for l, r, c2 in self.delta_word(words[0]):
-                    key = (l, r) + words[1:]
-                    nv = expanded.get(key, ZERO) + c * c2
-                    if nv.is_zero():
-                        expanded.pop(key, None)
-                    else:
-                        expanded[key] = nv
+                    _acc(expanded, (l, r) + words[1:], c * c2)
             terms = list(expanded.items())
         return terms
 
@@ -325,7 +295,7 @@ def presentation_from_cartan(cartan: CartanData) -> UqPresentation:
             poly: GenPoly = {(E[i], F[j]): ONE, (F[j], E[i]): -ONE}
             if i == j:
                 c = (q_i[i] - q_i[i].inverse()).inverse()
-                poly = _genpoly_add(poly, {(K[i],): -c, (Ki[i],): c})
+                poly.update({(K[i],): -c, (Ki[i],): c})
             relations.append((f"E{i + 1} F{j + 1} bracket", poly))
     for i in range(n):
         for j in range(n):
@@ -339,7 +309,7 @@ def presentation_from_cartan(cartan: CartanData) -> UqPresentation:
                     if r % 2:
                         coeff = -coeff
                     word = (gens[i],) * (m - r) + (gens[j],) + (gens[i],) * r
-                    poly = _genpoly_add(poly, {word: ONE}, coeff)
+                    poly[word] = coeff
                 kind = "E" if gens is E else "F"
                 relations.append((f"Serre {kind}[{i + 1},{j + 1}]", poly))
 
@@ -534,16 +504,15 @@ def check_preserves_R(rep: Representation, space: BraidedSpace) -> Report:
     if rep.dim != space.dim:
         raise ValueError("representation and braided space dimensions differ")
     report = Report(f"braiding preserved by {rep.name}")
-    psi = SparseOperator.from_matrix(space.braiding)
     for g in rep.presentation.generators:
         x = rep.actions.extended(g, 2)
-        lhs, rhs = psi.compose(x), x.compose(psi)
+        lhs, rhs = space.psi.compose(x), x.compose(space.psi)
         ok = lhs == rhs
         report.add(f"{g} commutes with braiding on degree 2", ok,
                    "" if ok else
                    f"residual:\n{lhs.to_matrix() - rhs.to_matrix()}")
-    psi21 = SparseOperator.from_matrix(extend_braiding(space, 2, 1).operator)
-    psi12 = SparseOperator.from_matrix(extend_braiding(space, 1, 2).operator)
+    psi21 = extend_braiding(space, 2, 1).sparse
+    psi12 = extend_braiding(space, 1, 2).sparse
     for g in rep.presentation.generators:
         x3 = rep.actions.extended(g, 3)
         ok = (psi21.compose(x3) == x3.compose(psi21)
@@ -569,7 +538,11 @@ def act_on_quotient(rep: Representation, rs: RewriteSystem, gen: Gen,
 
 def check_ideal_preserved(rep: Representation, rels: RelationSet) -> Report:
     """Membership of each generator image of each relation in the relation
-    span, by linear solve."""
+    span, by linear solve.  An empty relation set is refused: it would pass
+    without checking anything."""
+    if not rels.relations:
+        raise ValueError("empty relation set: the check would pass without "
+                         "checking anything")
     report = Report(f"ideal preserved by {rep.name}")
     ech = Echelon()
     for vec in rels.vectors():
@@ -711,13 +684,13 @@ def check_antipode(rep: Representation) -> Report:
     pres = rep.presentation
     report = Report(f"antipode identity in {rep.name}")
     for g in pres.generators:
-        acc: GenPoly = {}
+        acc = NCPoly()
         for l, r, c in pres.delta[g]:
-            s_l: GenPoly = {(): ONE}
+            s_l = NCPoly.monomial(())
             for sym in reversed(l):
-                s_l = _genpoly_mul(s_l, pres.antipode[sym])
-            acc = _genpoly_add(acc, _genpoly_mul(s_l, {tuple(r): ONE}), c)
+                s_l = s_l * NCPoly(pres.antipode[sym])
+            acc = acc + (s_l * NCPoly.monomial(r)).scale(c)
         expected = SymMatrix.identity(rep.dim) * pres.counit[g]
         report.add(f"m(S x 1)delta({g}) = eps({g})1",
-                   rep.genpoly_matrix(acc) == expected)
+                   rep.genpoly_matrix(acc.coeffs) == expected)
     return report

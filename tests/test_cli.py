@@ -257,3 +257,18 @@ def test_chi_low_max_degree_completes_at_degree_2(capsys):
         out = capsys.readouterr().out
         assert "(bound 2)" in out
         assert out.splitlines()[-1] == dims
+
+
+def test_ideal_check_on_empty_relation_set_exits_2():
+    proc = run_cli(["check", "--rep", "sl:2", "ideal", "--poly", "0"])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "empty relation set" in proc.stderr
+
+
+def test_duality_at_degree_0_exits_2():
+    proc = run_cli(["frt", "--builtin", "sl:2", "--pair-with", "sl:2",
+                    "--max-degree", "0"])
+    assert proc.returncode == 2
+    assert "max_degree >= 1, got 0" in proc.stderr
+    assert "randrange" not in proc.stderr

@@ -200,3 +200,15 @@ def test_group_like_multiplicativity(sl2):
         lhs = table.pair((K,), a + b)
         rhs = table.pair((K,), a) * table.pair((K,), b)
         assert lhs == rhs
+
+
+def test_duality_refuses_degree_and_sample_bounds_below_one(sl2):
+    rep, space = sl2
+    for degree in (0, -1):
+        with pytest.raises(ValueError, match="max_degree >= 1"):
+            check_duality(rep, space, max_degree=degree)
+    for samples in (0, -3):
+        with pytest.raises(ValueError, match="samples >= 1"):
+            check_duality(rep, space, max_degree=2, samples=samples)
+    report = check_duality(rep, space, max_degree=1, samples=1)
+    assert report.passed and "1 samples" in report.items[1].name

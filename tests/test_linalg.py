@@ -9,9 +9,11 @@ from braidalg.linalg import (BraidedSpace, BraidEquationError, SymMatrix,
                              extend_braiding, flip_matrix, image_subspace,
                              invert, kron, minimal_poly, solve_commutant)
 from braidalg.linalg import Echelon, linear_solve, vec_add_scaled
+from braidalg.linalg import SparseOperator
 from braidalg.scalar import (LaurentPoly, ONE, Q, ZERO, Scalar, parse_poly,
                              parse_scalar)
 from braidalg.builtin import sl_rtt_matrix
+from braidalg.builtin import adjoint_sl2, builtin_sl, classical_space
 from braidalg.uqg import coproduct_action
 
 
@@ -259,3 +261,18 @@ def test_echelon_reduce_clears_pivots_within_the_span(basis, vec):
     for b, c in zip(basis, coeffs):
         vec_add_scaled(combo, b, c)
     assert combo == diff
+
+
+def test_sparse_braiding_and_extensions_match_dense_views():
+    spaces = [builtin_sl(2)[1], builtin_sl(3)[1], adjoint_sl2()[1],
+              classical_space(2)]
+    for space in spaces:
+        assert space.psi.to_matrix() == space.braiding
+        assert SparseOperator.from_matrix(space.braiding) == space.psi
+        for m in range(3):
+            for n in range(3):
+                ext = extend_braiding(space, m, n)
+                dense = ext.operator
+                assert ext.sparse.to_matrix() == dense
+                # no stored zeros: the sparse form is the canonical one
+                assert SparseOperator.from_matrix(dense) == ext.sparse

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from braidalg.scalar import (LaurentPoly, ONE, Q, ZERO, Scalar,
                              ScalarParseError, parse_poly, parse_scalar,
@@ -202,3 +204,51 @@ def test_scalar_power_and_monomial():
     assert (Q ** -3) * (Q ** 3) == ONE
     assert Scalar.q_power(2).as_monomial() == (2, Fraction(1))
     assert parse_scalar("q + 1").as_monomial() is None
+
+
+# --- sympy as an independent oracle for Q(q) arithmetic ---------------------
+
+_q = sympy.Symbol("q")
+_coeffs = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 3]))
+_laurent = st.dictionaries(st.integers(-2, 2), _coeffs, max_size=3).map(
+    LaurentPoly)
+_random_scalars = st.builds(
+    lambda num, den: Scalar(num, den if not den.is_zero() else LaurentPoly.one()),
+    _laurent, _laurent)
+
+
+def _to_sympy(x: Scalar):
+    def laurent(p):
+        return sum((sympy.Rational(v.numerator, v.denominator) * _q ** e
+                    for e, v in p.coeffs.items()), sympy.Integer(0))
+    return laurent(x.num) / laurent(x.den)
+
+
+def _assert_canonical(x: Scalar):
+    den = x.den.coeffs
+    assert min(den) == 0
+    assert all(v.denominator == 1 for v in den.values())
+    assert den[max(den)] > 0
+    content = 0
+    for v in den.values():
+        content = sympy.igcd(content, v.numerator)
+    assert content == 1
+    if not x.is_zero():
+        shift = x.num.valuation()
+        num = sum((sympy.Rational(v.numerator, v.denominator) * _q ** (e - shift)
+                   for e, v in x.num.coeffs.items()), sympy.Integer(0))
+        den_expr = sum((int(v) * _q ** e for e, v in den.items()),
+                       sympy.Integer(0))
+        assert sympy.degree(sympy.gcd(num, den_expr), _q) == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=_random_scalars, b=_random_scalars)
+def test_field_operations_agree_with_sympy(a, b):
+    sa, sb = _to_sympy(a), _to_sympy(b)
+    results = [(a + b, sa + sb), (a - b, sa - sb), (a * b, sa * sb)]
+    if not b.is_zero():
+        results.append((a / b, sa / sb))
+    for got, expected in results:
+        _assert_canonical(got)
+        assert sympy.cancel(_to_sympy(got) - expected) == 0, (a, b, got)

@@ -318,3 +318,11 @@ def test_invalid_coalgebra_tables_rejected():
     with pytest.raises(ValueError):
         GeneratorCoalgebra(("a",), {"a": [(("a",), ("a",), ONE)]},
                            {"a": Q * 0})
+
+
+def test_ideal_check_refuses_an_empty_relation_set(sl2):
+    rep, space = sl2
+    empty = relations_from_image(space, parse_poly("0"))
+    assert len(empty) == 0
+    with pytest.raises(ValueError, match="empty relation set"):
+        check_ideal_preserved(rep, empty)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .linalg import BraidedSpace, Echelon, SparseOperator, vec_add_scaled
+from .linalg import BraidedSpace, SparseOperator, vec_add_scaled
 from .ncalg import (NCPoly, RelationSet, complete_rewrite, hilbert,
                     word_index)
 from .report import Report
@@ -97,21 +97,14 @@ def frt_relations(space: BraidedSpace) -> FRTPresentation:
     b = ident.kron(space.psi)
     # column p of tau K tau is column tau(p) of K with its rows moved by tau
     tau = _middle_swap(n)
-    ech = Echelon()
+    columns = []
     for j in tau:
         col = dict(a.columns[j])
         vec_add_scaled(col, b.columns[j], -ONE)
-        ech.insert({tau[i]: v for i, v in col.items()})
-    rels = []
-    for vec in ech.basis():
-        coeffs = {}
-        for idx, c in vec.items():
-            pair = divmod(idx, n2)
-            coeffs[pair] = c
-        rels.append(NCPoly(coeffs))
-    relation_set = RelationSet(n2, rels, names=t_names(n))
+        columns.append({tau[i]: v for i, v in col.items()})
+    relation_set = RelationSet.spanned_by(n2, columns, names=t_names(n))
     return FRTPresentation(
-        n=n, relations=relation_set, rank=ech.rank,
+        n=n, relations=relation_set, rank=len(relation_set),
         convention="relations built from the braiding (exchange matrix "
                    "composed with the flip); dual pairing uses "
                    "<u, t_ij> = matrix entry (i, j)")
@@ -122,12 +115,9 @@ def frt_coideal_check(pres: FRTPresentation) -> Report:
     the reduced tensor (pi (x) pi) delta(r) = 0; also eps(r) = 0."""
     report = Report(f"coideal property of {len(pres.relations)} relations")
     n2 = pres.alphabet
-    ech = Echelon()
-    for vec in pres.relations.vectors():
-        ech.insert(dict(vec))
 
     def reduced(word) -> dict:
-        return ech.reduce({word_index(word, n2): ONE})
+        return pres.relations.span.reduce({word_index(word, n2): ONE})
 
     for idx, rel in enumerate(pres.relations.relations):
         eps = ZERO

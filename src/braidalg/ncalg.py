@@ -11,8 +11,9 @@ i < j).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from .linalg import Echelon, eval_poly_at_matrix, image_subspace
+from .linalg import Echelon, SparseOperator, combine
 from .scalar import ONE, ZERO, Scalar
 
 Word = tuple
@@ -155,7 +156,10 @@ def _join_terms(parts) -> str:
     out = []
     for c, mono in parts:
         cs = str(c)
-        negative = cs.startswith("-")
+        # a multi-term coefficient of a word keeps its signs in parentheses
+        grouped = (mono != "1" and "/" not in cs
+                   and any(op in cs for op in (" + ", " - ")))
+        negative = cs.startswith("-") and not grouped
         if negative:
             cs = cs[1:]
         if mono == "1":
@@ -163,9 +167,7 @@ def _join_terms(parts) -> str:
         elif cs == "1":
             body = mono
         else:
-            if any(op in cs for op in (" + ", " - ")) and "/" not in cs:
-                cs = f"({cs})"
-            body = f"{cs}*{mono}"
+            body = f"({cs})*{mono}" if grouped else f"{cs}*{mono}"
         if not out:
             out.append(("-" if negative else "") + body)
         else:
@@ -178,48 +180,44 @@ def default_names(alphabet: int) -> list[str]:
 
 
 class RelationSet:
-    """An echelonized list of homogeneous degree-2 relations.
+    """The homogeneous degree-2 relations spanning a subspace R of V (x) V,
+    kept as the reduced echelon basis of R.
 
-    Each relation is monic in its leading word, leading words are distinct,
-    and no relation's leading word occurs in another relation.
+    `span` is the `linalg.Echelon` of R over the flattened word indices
+    w[0] * alphabet + w[1]; its lowest-index pivot is the leading word.
+    `relations` reads that basis as polynomials: each relation is monic in
+    its leading word, leading words are distinct, and no relation's leading
+    word occurs in another relation.  The basis depends only on R, not on
+    the order or the choice of the relations given.
     """
 
     def __init__(self, alphabet: int, relations, names=None):
         self.alphabet = alphabet
         self.order = WordOrder(alphabet)
         self.names = list(names) if names else default_names(alphabet)
+        self.span = Echelon()
         for rel in relations:
             if not rel.is_homogeneous(2):
                 raise ValueError("relations must be homogeneous of degree 2")
-        self.relations = self._echelonize(relations)
+            self.span.insert({w[0] * alphabet + w[1]: c
+                              for w, c in rel.coeffs.items()})
 
-    def _echelonize(self, relations) -> list[NCPoly]:
-        by_lead: dict[Word, NCPoly] = {}
-        for rel in relations:
-            p = rel
-            while not p.is_zero():
-                lead = self.order.leading(p.coeffs)
-                if lead not in by_lead:
-                    break
-                p = p - by_lead[lead].scale(p.coeffs[lead])
-            if p.is_zero():
-                continue
-            p = p.scale(p.coeffs[lead].inverse())
-            for w, other in list(by_lead.items()):
-                c = other.coeffs.get(lead)
-                if c is not None:
-                    by_lead[w] = other - p.scale(c)
-            by_lead[lead] = p
-        return [by_lead[w] for w in self.order.sorted_words(by_lead)]
+    @classmethod
+    def spanned_by(cls, alphabet: int, vectors, names=None) -> "RelationSet":
+        """The relation set spanned by sparse vectors over the flattened
+        degree-2 word indices."""
+        out = cls(alphabet, (), names)
+        for vec in vectors:
+            out.span.insert(vec)
+        return out
+
+    @cached_property
+    def relations(self) -> list[NCPoly]:
+        return [vector_to_poly(vec, self.alphabet, 2)
+                for vec in self.span.basis()]
 
     def __len__(self) -> int:
-        return len(self.relations)
-
-    def vectors(self) -> list[dict]:
-        """Relations as sparse vectors over flattened degree-2 word indices."""
-        n = self.alphabet
-        return [{w[0] * n + w[1]: c for w, c in rel.coeffs.items()}
-                for rel in self.relations]
+        return self.span.rank
 
     def render(self) -> list[str]:
         """Paper-style equations `lead = -(rest)`, ordered by leading word."""
@@ -233,20 +231,17 @@ class RelationSet:
 
 
 def relations_from_image(space, f: list[Scalar]) -> RelationSet:
-    """Echelonized basis of f(braiding)(V (x) V) as degree-2 relations in
-    x_1..x_n.  `f` is given by ascending coefficients."""
-    if not f or all(c.is_zero() for c in f):
-        return RelationSet(space.dim, [])
-    m = eval_poly_at_matrix(f, space.braiding)
-    n = space.dim
-    rels = []
-    for vec in image_subspace(m):
-        coeffs = {}
-        for idx, c in enumerate(vec):
-            if not c.is_zero():
-                coeffs[(idx // n, idx % n)] = c
-        rels.append(NCPoly(coeffs))
-    return RelationSet(n, rels)
+    """The relations spanning f(braiding)(V (x) V), in x_1..x_n.  `f` is
+    given by ascending coefficients."""
+    psi = space.psi
+    power = SparseOperator.identity(psi.rows)
+    terms = []
+    for k, c in enumerate(f):
+        if k:
+            power = psi.compose(power)
+        terms.append((power, c))
+    image = combine(psi.rows, psi.rows, terms)
+    return RelationSet.spanned_by(space.dim, image.columns)
 
 
 @dataclass
@@ -405,12 +400,10 @@ def hilbert(rs: RewriteSystem, max_degree: int) -> list[int]:
     """Graded dimensions of the quotient for degrees 0..max_degree.  Degrees
     beyond the completion bound fall back to the linear-algebra quotient
     oracle, which is exact regardless of confluence."""
-    dims = []
-    for d in range(max_degree + 1):
-        if rs.certified(d):
-            dims.append(len(rs.irreducible_words(d)))
-        else:
-            dims.append(hilbert_oracle(rs.relations, d)[d])
+    certified = min(max_degree, rs.degree_bound)
+    dims = [len(rs.irreducible_words(d)) for d in range(certified + 1)]
+    if max_degree > certified:
+        dims += hilbert_oracle(rs.relations, max_degree)[certified + 1:]
     return dims
 
 
@@ -418,7 +411,7 @@ def hilbert_oracle(relations: RelationSet, max_degree: int) -> list[int]:
     """Graded dimensions computed by rank over the full degree-d component:
     dim_d = n**d - dim( sum_i V**i (x) rel (x) V**(d-2-i) )."""
     n = relations.alphabet
-    rel_vecs = relations.vectors()
+    rel_vecs = relations.span.basis()
     dims = []
     for d in range(max_degree + 1):
         if d < 2:

@@ -538,21 +538,16 @@ def act_on_quotient(rep: Representation, rs: RewriteSystem, gen: Gen,
 
 def check_ideal_preserved(rep: Representation, rels: RelationSet) -> Report:
     """Membership of each generator image of each relation in the relation
-    span, by linear solve.  An empty relation set is refused: it would pass
-    without checking anything."""
+    span, by reduction against its echelon basis.  An empty relation set is
+    refused: it would pass without checking anything."""
     if not rels.relations:
         raise ValueError("empty relation set: the check would pass without "
                          "checking anything")
     report = Report(f"ideal preserved by {rep.name}")
-    ech = Echelon()
-    for vec in rels.vectors():
-        ech.insert(dict(vec))
     for g in rep.presentation.generators:
         x = rep.actions.extended(g, 2)
-        for idx, rel in enumerate(rels.relations):
-            vec = x.apply({word_index(w, rels.alphabet): c
-                           for w, c in rel.coeffs.items()})
-            ok = ech.contains(vec)
+        for idx, vec in enumerate(rels.span.basis()):
+            ok = rels.span.contains(x.apply(vec))
             report.add(f"{g} maps relation {idx + 1} into the span", ok)
     return report
 
@@ -643,7 +638,11 @@ def check_measuring(rep: Representation, rs: RewriteSystem,
                     seed: int = 0) -> Report:
     """Sample the measuring identity over monomial pairs in the quotient:
     exhaustive when at most `sample_count` pairs exist, otherwise a seeded
-    random sample of that size.  Raises ValueError when no pair is left."""
+    random sample of that size.  Raises ValueError when no pair is left or
+    the sample count is negative."""
+    if sample_count < 0:
+        raise ValueError(
+            f"measuring check needs sample_count >= 0, got {sample_count}")
     pairs = _monomial_pairs(rs, max_degree)
     exhaustive = len(pairs) <= sample_count
     if not exhaustive:

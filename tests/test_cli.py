@@ -272,3 +272,27 @@ def test_duality_at_degree_0_exits_2():
     assert proc.returncode == 2
     assert "max_degree >= 1, got 0" in proc.stderr
     assert "randrange" not in proc.stderr
+
+
+def test_chi_relations_fixture_independent_of_order(tmp_path):
+    # x2x1 - x2x2 and x1x2 + x2x1 span the same relations in either order
+    first = [{"coeff": "1", "word": [2, 1]}, {"coeff": "-1", "word": [2, 2]}]
+    second = [{"coeff": "1", "word": [1, 2]}, {"coeff": "1", "word": [2, 1]}]
+    outputs = []
+    for name, rels in (("ab", [first, second]), ("ba", [second, first])):
+        fixture = tmp_path / f"{name}.json"
+        write_fixture({"kind": "relations", "alphabet": 2, "name": "pair",
+                       "relations": rels}, fixture)
+        proc = run_cli(["chi", "--input", str(fixture), "--show-relations",
+                        "--hilbert"])
+        assert proc.returncode == 0
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert "  x1 x2 = -x2 x2\n  x2 x1 = x2 x2\n" in outputs[0]
+
+
+def test_check_negative_samples_exits_2():
+    proc = run_cli(["check", "--rep", "sl:2", "measuring", "--samples", "-1"])
+    assert proc.returncode == 2
+    assert "-1" in proc.stderr
+    assert "Sample larger" not in proc.stderr

@@ -189,3 +189,30 @@ def test_trivial_quotient_detection(sl2):
     assert len(rels) == 4  # f(braiding) invertible: all of degree 2
     rs = complete_rewrite(rels, 3)
     assert hilbert(rs, 3) == [1, 2, 0, 0]
+
+
+def test_render_keeps_signs_of_multi_term_coefficients():
+    texts = ["-q + q^-1", "q - q^-1", "-q", "-1", "2", "q^2 + 1",
+             "-1/(q + 1)", "(q + 2)/(q + 1)"]
+    for c in map(parse_scalar, texts):
+        for d in map(parse_scalar, texts):
+            rendered = NCPoly({(0,): c, (): d}).render(["x"])
+            assert parse_poly(rendered) == [d, c], rendered
+    rels = sp4_symmetric_relations()
+    residual = NCPoly({(1, 0): -Q ** 2 + Q})
+    assert residual.render(rels.names, rels.order) == "(-q^2 + q)*x2 x1"
+
+
+def test_hilbert_beyond_bound_calls_the_oracle_once(sl3, monkeypatch):
+    from braidalg import ncalg
+    _, space = sl3
+    rs = complete_rewrite(relations_from_image(space, parse_poly("x + q^-1")), 2)
+    calls = []
+
+    def counted(relations, max_degree):
+        calls.append(max_degree)
+        return hilbert_oracle(relations, max_degree)
+
+    monkeypatch.setattr(ncalg, "hilbert_oracle", counted)
+    assert hilbert(rs, 6) == [1, 3, 3, 1, 0, 0, 0]
+    assert calls == [6]

@@ -326,3 +326,10 @@ def test_ideal_check_refuses_an_empty_relation_set(sl2):
     assert len(empty) == 0
     with pytest.raises(ValueError, match="empty relation set"):
         check_ideal_preserved(rep, empty)
+
+
+def test_measuring_refuses_negative_sample_count(sl2):
+    rep, space = sl2
+    rs = complete_rewrite(relations_from_image(space, parse_poly("x - q")), 3)
+    with pytest.raises(ValueError, match="-1"):
+        check_measuring(rep, rs, sample_count=-1, max_degree=3)

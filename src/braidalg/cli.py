@@ -21,7 +21,7 @@ from .frt import check_duality, frt_coideal_check, frt_hilbert, frt_relations
 from .linalg import BraidedSpace, BraidEquationError, check_braid, minimal_poly
 from .ncalg import complete_rewrite, hilbert
 from .report import Report
-from .scalar import ScalarParseError, parse_poly
+from .scalar import ScalarParseError, join_terms, parse_poly, power_str
 from .uqg import (check_ideal_preserved, check_measuring, check_preserves_R,
                   check_representation, generator_independence)
 from . import ncalg
@@ -33,33 +33,6 @@ EXIT_USAGE = 2
 
 class CliError(Exception):
     """Usage/format problem; maps to exit code 2."""
-
-
-def _poly_string(coeffs) -> str:
-    parts = []
-    for d in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[d]
-        if c.is_zero():
-            continue
-        xs = "" if d == 0 else ("x" if d == 1 else f"x^{d}")
-        cs = str(c)
-        negative = cs.startswith("-") and " " not in cs
-        if negative:
-            cs = cs[1:]
-        if xs and cs == "1":
-            term = xs
-        elif xs:
-            if any(op in cs for op in (" + ", " - ")):
-                cs = f"({cs})"
-                negative = False
-            term = f"{cs}*{xs}"
-        else:
-            term = cs
-        if not parts:
-            parts.append(("-" if negative else "") + term)
-        else:
-            parts.append(("- " if negative else "+ ") + term)
-    return " ".join(parts) if parts else "0"
 
 
 def degree(text: str) -> int:
@@ -126,7 +99,9 @@ def cmd_validate_r(args) -> int:
         payload["counterexample"] = list(result.counterexample)
     if args.show_minimal_poly and result.holds:
         mp = minimal_poly(braiding)
-        text = _poly_string(mp)
+        text = join_terms((mp[d], power_str("x", d))
+                          for d in reversed(range(len(mp)))
+                          if not mp[d].is_zero())
         lines.append(f"minimal polynomial: {text}")
         payload["minimal_poly"] = [str(c) for c in mp]
     code = EXIT_OK if result.holds else EXIT_CHECK_FAILED
@@ -258,13 +233,14 @@ def cmd_frt(args) -> int:
     if pres.rank == 0:
         lines.append("notice: empty relation set; the quotient is the free "
                      "(polynomial, for one generator) algebra")
+    rendered = pres.relations.render()
     payload = {"command": "frt", "source": str(label), "dim": space.dim,
                "relation_count": pres.rank,
                "degree2_dimension": space.dim ** 4 - pres.rank,
                "convention": pres.convention,
-               "relations": pres.relations.render()}
+               "relations": rendered}
     lines.append("relations list:")
-    lines.extend(f"  {line}" for line in pres.relations.render())
+    lines.extend(f"  {line}" for line in rendered)
     coideal = frt_coideal_check(pres)
     lines.append(coideal.render())
     payload["coideal"] = coideal.to_json()

@@ -149,8 +149,14 @@ def relations_from_fixture(doc: dict) -> RelationSet:
             c = _parse_entry(term["coeff"], f"relation {ridx}")
             coeffs[key] = coeffs.get(key, ZERO) + c
         polys.append(NCPoly(coeffs))
+    names = doc.get("names")
+    if names is not None and (
+            not isinstance(names, list) or len(names) != alphabet
+            or any(not isinstance(name, str) for name in names)):
+        raise FixtureError(
+            f"relations fixture 'names' must be a list of {alphabet} strings")
     try:
-        return RelationSet(alphabet, polys, names=doc.get("names"))
+        return RelationSet(alphabet, polys, names=names)
     except ValueError as exc:
         raise FixtureError(str(exc)) from exc
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .linalg import Echelon, SparseOperator, combine
-from .scalar import ONE, ZERO, Scalar
+from .scalar import ONE, ZERO, Scalar, join_terms
 
 Word = tuple
 
@@ -137,42 +137,17 @@ class NCPoly:
         return hash(frozenset(self.coeffs.items()))
 
     def render(self, names, order: WordOrder | None = None) -> str:
-        if not self.coeffs:
-            return "0"
         words = (order.sorted_words(self.coeffs) if order
                  else sorted(self.coeffs, key=lambda w: (len(w), w)))
-        parts = []
-        for w in words:
-            c = self.coeffs[w]
-            mono = " ".join(names[i] for i in w) if w else "1"
-            parts.append((c, mono))
-        return _join_terms(parts)
+        return join_terms((self.coeffs[w], word_str(w, names)) for w in words)
 
     def __repr__(self) -> str:
         return f"NCPoly({self.coeffs!r})"
 
 
-def _join_terms(parts) -> str:
-    out = []
-    for c, mono in parts:
-        cs = str(c)
-        # a multi-term coefficient of a word keeps its signs in parentheses
-        grouped = (mono != "1" and "/" not in cs
-                   and any(op in cs for op in (" + ", " - ")))
-        negative = cs.startswith("-") and not grouped
-        if negative:
-            cs = cs[1:]
-        if mono == "1":
-            body = cs
-        elif cs == "1":
-            body = mono
-        else:
-            body = f"({cs})*{mono}" if grouped else f"{cs}*{mono}"
-        if not out:
-            out.append(("-" if negative else "") + body)
-        else:
-            out.append(("- " if negative else "+ ") + body)
-    return " ".join(out)
+def word_str(word, names) -> str:
+    """A monomial as its generator names, '1' for the empty word."""
+    return " ".join(names[i] for i in word) if word else "1"
 
 
 def default_names(alphabet: int) -> list[str]:
@@ -225,8 +200,8 @@ class RelationSet:
         for rel in self.relations:
             lead = self.order.leading(rel.coeffs)
             rest = NCPoly({w: -c for w, c in rel.coeffs.items() if w != lead})
-            lhs = " ".join(self.names[i] for i in lead)
-            lines.append(f"{lhs} = {rest.render(self.names, self.order)}")
+            lines.append(f"{word_str(lead, self.names)} = "
+                         f"{rest.render(self.names, self.order)}")
         return lines
 
 

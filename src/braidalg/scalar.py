@@ -133,35 +133,47 @@ class LaurentPoly:
         return self._hash
 
     def __str__(self) -> str:
-        return _format_terms(self.coeffs)
+        return join_terms((self.coeffs[e], power_str("q", e))
+                          for e in sorted(self.coeffs, reverse=True))
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self.coeffs!r})"
 
 
-def _format_coeff(v: Fraction) -> str:
-    return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+def power_str(var: str, e: int) -> str:
+    """The monomial `var^e` as printed in a signed sum: '1', 'var' or 'var^e'."""
+    return "1" if e == 0 else var if e == 1 else f"{var}^{e}"
 
 
-def _format_terms(coeffs: dict) -> str:
-    if not coeffs:
-        return "0"
-    parts = []
-    for e in sorted(coeffs, reverse=True):
-        v = coeffs[e]
-        sign = "-" if v < 0 else "+"
-        av = -v if v < 0 else v
-        if e == 0:
-            body = _format_coeff(av)
+def join_terms(parts) -> str:
+    """The one printer of signed sums: (coefficient, monomial) pairs in print
+    order, '1' standing for the empty monomial, joined as 'a - b*m + c*m'.
+    No parts print as '0'.  `parse_scalar` and `parse_poly` read the text
+    back.
+
+    >>> join_terms([(-1, "q^2"), (2, "q"), (-3, "1")])
+    '-q^2 + 2*q - 3'
+    """
+    out = []
+    for c, mono in parts:
+        cs = str(c)
+        # parenthesise a sum multiplying a word; a quotient ends in "/(den)"
+        grouped = (mono != "1" and not cs.endswith(")")
+                   and any(op in cs for op in (" + ", " - ")))
+        negative = cs.startswith("-") and not grouped
+        if negative:
+            cs = cs[1:]
+        if mono == "1":
+            body = cs
+        elif cs == "1":
+            body = mono
         else:
-            qpart = "q" if e == 1 else f"q^{e}"
-            body = qpart if av == 1 else f"{_format_coeff(av)}*{qpart}"
-        parts.append((sign, body))
-    first_sign, first_body = parts[0]
-    text = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in parts[1:]:
-        text += f" {sign} {body}"
-    return text
+            body = f"({cs})*{mono}" if grouped else f"{cs}*{mono}"
+        if not out:
+            out.append(("-" if negative else "") + body)
+        else:
+            out.append(("- " if negative else "+ ") + body)
+    return " ".join(out) if out else "0"
 
 
 def _poly_divmod(a: dict, b: dict):

@@ -20,7 +20,7 @@ from math import gcd
 from .linalg import (BraidedSpace, Echelon, SparseOperator, SymMatrix,
                      combine, extend_braiding, invert)
 from .ncalg import (DegreeBoundError, NCPoly, RelationSet, RewriteSystem,
-                    vector_to_poly, word_index)
+                    vector_to_poly, word_index, word_str)
 from .report import Report
 from .scalar import ONE, ZERO, Scalar, q_binomial
 
@@ -530,6 +530,8 @@ def act_on_quotient(rep: Representation, rs: RewriteSystem, gen: Gen,
     if k > rs.degree_bound:
         raise DegreeBoundError(
             f"degree {k} exceeds completion bound {rs.degree_bound}")
+    if rep.dim != rs.alphabet:
+        raise ValueError("representation and relation alphabet sizes differ")
     if gen not in rep.assign:
         raise ValueError(f"unknown generator {gen}")
     vec = rep.actions.act((gen,), {word_index(word, rs.alphabet): ONE}, k)
@@ -539,10 +541,13 @@ def act_on_quotient(rep: Representation, rs: RewriteSystem, gen: Gen,
 def check_ideal_preserved(rep: Representation, rels: RelationSet) -> Report:
     """Membership of each generator image of each relation in the relation
     span, by reduction against its echelon basis.  An empty relation set is
-    refused: it would pass without checking anything."""
+    refused: it would pass without checking anything; so is a representation
+    whose dimension differs from the relation alphabet."""
     if not rels.relations:
         raise ValueError("empty relation set: the check would pass without "
                          "checking anything")
+    if rep.dim != rels.alphabet:
+        raise ValueError("representation and relation alphabet sizes differ")
     report = Report(f"ideal preserved by {rep.name}")
     for g in rep.presentation.generators:
         x = rep.actions.extended(g, 2)
@@ -623,8 +628,8 @@ def _measure(report: Report, actions: ActionTable, rs: RewriteSystem,
             if not residual.is_zero():
                 bad += 1
                 if not witness:
-                    witness = (f"a={_word_str(a, rs.names)} "
-                               f"b={_word_str(b, rs.names)}")
+                    witness = (f"a={word_str(a, rs.names)} "
+                               f"b={word_str(b, rs.names)}")
                     if show_residual:
                         witness += (" residual="
                                     + residual.render(rs.names, rs.order))
@@ -672,10 +677,6 @@ def check_derivation_measuring(lie_actions: list, rs: RewriteSystem,
         f"exhaustive over {len(pairs)} monomial pairs, total degree <= {max_degree}")
     return _measure(report, actions, rs, pairs, symbols,
                     "acts by derivations", False)
-
-
-def _word_str(word, names) -> str:
-    return " ".join(names[i] for i in word) if word else "1"
 
 
 def check_antipode(rep: Representation) -> Report:

@@ -296,3 +296,37 @@ def test_check_negative_samples_exits_2():
     assert proc.returncode == 2
     assert "-1" in proc.stderr
     assert "Sample larger" not in proc.stderr
+
+
+def test_validate_r_minimal_poly_signs_on_dim_1(tmp_path):
+    for entry, expected in (("q - q^-1", "x - q + q^-1"),
+                            ("1/(q + 1)", "x - 1/(q + 1)")):
+        fixture = tmp_path / "n1.json"
+        write_fixture({"kind": "rmatrix", "dim": 1, "form": "braiding",
+                       "entries": [[entry]]}, fixture)
+        proc = run_cli(["validate-r", "--input", str(fixture),
+                        "--show-minimal-poly"])
+        assert proc.returncode == 0
+        assert f"minimal polynomial: {expected}\n" in proc.stdout
+
+
+def test_ideal_check_with_mismatched_rmatrix_exits_2():
+    for rep, rmatrix in (("sl:2", "sl:3"), ("sl:3", "sl:2")):
+        proc = run_cli(["check", "--rep", rep, "--rmatrix", rmatrix,
+                        "ideal"])
+        assert proc.returncode == 2, (rep, rmatrix)
+        assert proc.stdout == ""
+        assert "alphabet sizes differ" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+def test_relations_fixture_bad_names_exit_2(tmp_path):
+    rels = [[{"coeff": "1", "word": [1, 2]}, {"coeff": "-q", "word": [2, 1]}]]
+    for names in (["a", "b"], [1, 2, 3]):
+        fixture = tmp_path / "names.json"
+        write_fixture({"kind": "relations", "alphabet": 3, "names": names,
+                       "relations": rels}, fixture)
+        proc = run_cli(["chi", "--input", str(fixture), "--show-relations"])
+        assert proc.returncode == 2, names
+        assert "'names' must be a list of 3 strings" in proc.stderr
+        assert "Traceback" not in proc.stderr

@@ -6,8 +6,8 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from braidalg.scalar import (LaurentPoly, ONE, Q, ZERO, Scalar,
-                             ScalarParseError, parse_poly, parse_scalar,
-                             q_binomial, q_integer)
+                             ScalarParseError, join_terms, parse_poly,
+                             parse_scalar, power_str, q_binomial, q_integer)
 
 
 def test_parse_basic_laurent():
@@ -252,3 +252,15 @@ def test_field_operations_agree_with_sympy(a, b):
     for got, expected in results:
         _assert_canonical(got)
         assert sympy.cancel(_to_sympy(got) - expected) == 0, (a, b, got)
+
+
+@settings(max_examples=60, deadline=None)
+@given(coeffs=st.lists(_random_scalars, max_size=4))
+def test_printed_polynomial_reads_back_through_parse_poly(coeffs):
+    while coeffs and coeffs[-1].is_zero():
+        coeffs.pop()
+    text = join_terms((coeffs[d], power_str("x", d))
+                      for d in reversed(range(len(coeffs)))
+                      if not coeffs[d].is_zero())
+    assert parse_poly(text) == coeffs, text
+    assert "+ -" not in text and "- -" not in text, text

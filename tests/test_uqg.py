@@ -333,3 +333,13 @@ def test_measuring_refuses_negative_sample_count(sl2):
     rs = complete_rewrite(relations_from_image(space, parse_poly("x - q")), 3)
     with pytest.raises(ValueError, match="-1"):
         check_measuring(rep, rs, sample_count=-1, max_degree=3)
+
+
+def test_ideal_checks_refuse_a_mismatched_alphabet(sl2, sl3):
+    for (rep, _), (_, space) in ((sl2, sl3), (sl3, sl2)):
+        rels = relations_from_image(space, parse_poly("x - q"))
+        with pytest.raises(ValueError, match="alphabet sizes differ"):
+            check_ideal_preserved(rep, rels)
+        rs = complete_rewrite(rels, 2)
+        with pytest.raises(ValueError, match="alphabet sizes differ"):
+            act_on_quotient(rep, rs, Gen("E", 0), (0, 0))

@@ -164,12 +164,22 @@ class RelationSet:
     its leading word, leading words are distinct, and no relation's leading
     word occurs in another relation.  The basis depends only on R, not on
     the order or the choice of the relations given.
+
+    `names` print the generators (default x1..xn).  They must be distinct,
+    non-empty and free of whitespace, so that a printed word splits back
+    into its letters; otherwise `ValueError` is raised.
     """
 
     def __init__(self, alphabet: int, relations, names=None):
         self.alphabet = alphabet
         self.order = WordOrder(alphabet)
         self.names = list(names) if names else default_names(alphabet)
+        if (len(self.names) != alphabet or len(set(self.names)) != alphabet
+                or any(not name or any(ch.isspace() for ch in name)
+                       for name in self.names)):
+            raise ValueError(
+                f"relation names must be {alphabet} distinct non-empty "
+                f"strings without whitespace, got {self.names!r}")
         self.span = Echelon()
         for rel in relations:
             if not rel.is_homogeneous(2):

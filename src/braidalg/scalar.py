@@ -3,6 +3,13 @@ parameter q with rational coefficients, canonical rational functions built
 from them, and the balanced q-integers / q-binomials that appear in quantum
 Serre relations.
 
+Nearly all of this arithmetic stays in Z[q, q^-1], so a coefficient is
+stored as a Python `int` when it is integral and as a `Fraction` (with
+denominator greater than 1) only when it is not.  `Fraction(3) == 3` and
+both hash alike, so equality, hashing and printing do not depend on the
+split; the two divisions that can meet two ints build a `Fraction`
+explicitly, so no float ever enters Q(q).
+
 All values are immutable and all operations are pure, so they are safe to
 share between threads.  Equality of scalars is structural equality of
 canonical forms: fractions are reduced, the denominator is an ordinary
@@ -29,18 +36,21 @@ class ScalarZeroDivision(ScalarParseError, ZeroDivisionError):
     ZeroDivisionError for callers that catch arithmetic errors."""
 
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
+_F0 = 0
+_F1 = 1
 
 
 class LaurentPoly:
     """A Laurent polynomial in q, stored as a map {exponent: coefficient}.
 
     Zero coefficients are never stored; the zero polynomial is the empty map.
+    An integral coefficient is stored as an `int`, any other as a `Fraction`.
     Instances are treated as immutable after construction.
 
     >>> str(LaurentPoly({1: 1, -1: -1}))
     'q - q^-1'
+    >>> LaurentPoly({0: Fraction(4, 2)}).coeffs
+    {0: 2}
     """
 
     __slots__ = ("coeffs", "_hash")
@@ -49,7 +59,10 @@ class LaurentPoly:
         c = {}
         if coeffs:
             for e, v in coeffs.items():
-                v = v if isinstance(v, Fraction) else Fraction(v)
+                if type(v) is not int:
+                    v = Fraction(v)
+                    if v.denominator == 1:
+                        v = v.numerator
                 if v:
                     c[int(e)] = v
         self.coeffs = c
@@ -84,7 +97,8 @@ class LaurentPoly:
         for e, v in other.coeffs.items():
             nv = c.get(e, _F0) + v
             if nv:
-                c[e] = nv
+                c[e] = nv if type(nv) is int or nv.denominator > 1 \
+                    else nv.numerator
             else:
                 c.pop(e, None)
         out = LaurentPoly.__new__(LaurentPoly)
@@ -110,7 +124,8 @@ class LaurentPoly:
                 e = ea + eb
                 nv = c.get(e, _F0) + va * vb
                 if nv:
-                    c[e] = nv
+                    c[e] = nv if type(nv) is int or nv.denominator > 1 \
+                        else nv.numerator
                 else:
                     c.pop(e, None)
         out = LaurentPoly.__new__(LaurentPoly)
@@ -122,7 +137,7 @@ class LaurentPoly:
         q0 = Fraction(q0)
         if q0 == 0 and self.coeffs and min(self.coeffs) < 0:
             raise ZeroDivisionError("negative power of q at q=0")
-        return sum((v * q0 ** e for e, v in self.coeffs.items()), _F0)
+        return sum((v * q0 ** e for e, v in self.coeffs.items()), Fraction(0))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LaurentPoly) and self.coeffs == other.coeffs
@@ -177,7 +192,8 @@ def join_terms(parts) -> str:
 
 
 def _poly_divmod(a: dict, b: dict):
-    """Long division of ordinary polynomials given as exponent->Fraction maps."""
+    """Long division of ordinary polynomials given as exponent->coefficient
+    maps (int or Fraction)."""
     r = dict(a)
     q: dict = {}
     db = max(b)
@@ -186,7 +202,7 @@ def _poly_divmod(a: dict, b: dict):
         dr = max(r)
         if dr < db:
             break
-        c = r[dr] / lb
+        c = Fraction(r[dr], lb)
         e = dr - db
         q[e] = q.get(e, _F0) + c
         for eb, vb in b.items():
@@ -206,7 +222,7 @@ def _poly_gcd(a: dict, b: dict) -> dict:
         _, r = _poly_divmod(a, b)
         a, b = b, r
     lead = a[max(a)]
-    return {e: v / lead for e, v in a.items()}
+    return {e: Fraction(v, lead) for e, v in a.items()}
 
 
 def _canonical(num: LaurentPoly, den: LaurentPoly):
@@ -268,7 +284,7 @@ class Scalar:
 
     @classmethod
     def from_int(cls, k) -> "Scalar":
-        return cls._raw(LaurentPoly({0: Fraction(k)}), LaurentPoly.one())
+        return cls._raw(LaurentPoly({0: k}), LaurentPoly.one())
 
     @classmethod
     def q_power(cls, k: int) -> "Scalar":
@@ -392,7 +408,7 @@ def _coerce(x):
     if isinstance(x, Scalar):
         return x
     if isinstance(x, (int, Fraction)):
-        return Scalar._raw(LaurentPoly({0: Fraction(x)}), LaurentPoly.one())
+        return Scalar._raw(LaurentPoly({0: x}), LaurentPoly.one())
     return NotImplemented
 
 

@@ -330,3 +330,16 @@ def test_relations_fixture_bad_names_exit_2(tmp_path):
         assert proc.returncode == 2, names
         assert "'names' must be a list of 3 strings" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+def test_relations_fixture_names_that_do_not_read_back_exit_2(tmp_path):
+    rels = [[{"coeff": "1", "word": [1, 2]}, {"coeff": "-q", "word": [2, 1]}]]
+    for names in (["a", "a"], ["a b", ""]):
+        fixture = tmp_path / "names.json"
+        write_fixture({"kind": "relations", "alphabet": 2, "names": names,
+                       "relations": rels}, fixture)
+        proc = run_cli(["chi", "--input", str(fixture), "--show-relations"])
+        assert proc.returncode == 2, names
+        assert proc.stdout == ""
+        assert "distinct non-empty strings without whitespace" in proc.stderr
+        assert "Traceback" not in proc.stderr

@@ -53,6 +53,16 @@ def test_relation_set_requires_quadratic_homogeneous():
         RelationSet(2, [NCPoly({(0, 1): ONE, (0,): ONE})])
 
 
+def test_relation_set_refuses_names_that_do_not_read_back():
+    rel = NCPoly({(0, 1): ONE, (1, 0): -Q})
+    for names in (["a", "a"], ["a b", "c"], ["a", ""], ["a"], ["a", "b", "c"]):
+        with pytest.raises(ValueError, match="distinct non-empty"):
+            RelationSet(2, [rel], names=names)
+        with pytest.raises(ValueError, match="distinct non-empty"):
+            RelationSet.spanned_by(2, [], names=names)
+    assert RelationSet(2, [rel], names=["a", "b"]).render() == ["a b = q*b a"]
+
+
 def test_complete_rewrite_sym_sl2_is_quadratic_confluent(sl2):
     _, space = sl2
     rels = relations_from_image(space, parse_poly("x - q"))

@@ -254,6 +254,42 @@ def test_field_operations_agree_with_sympy(a, b):
         assert sympy.cancel(_to_sympy(got) - expected) == 0, (a, b, got)
 
 
+def _stored_canonically(x: Scalar) -> bool:
+    """Integral coefficients are ints, others Fractions; denominators are
+    integral."""
+    def ok(v):
+        return (type(v) is int
+                or isinstance(v, Fraction) and v.denominator > 1)
+    return (all(ok(v) for v in x.num.coeffs.values())
+            and all(type(v) is int for v in x.den.coeffs.values()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=_random_scalars, b=_random_scalars)
+def test_integral_coefficients_are_stored_as_int(a, b):
+    results = [a + b, a - b, a * b] + ([a / b] if not b.is_zero() else [])
+    for got in results:
+        assert _stored_canonically(got), (a, b, got.num.coeffs, got.den.coeffs)
+
+
+def test_integral_fraction_is_stored_as_int():
+    p = LaurentPoly({0: Fraction(4, 2)})
+    assert p.coeffs == {0: 2} and type(p.coeffs[0]) is int
+    assert p == LaurentPoly({0: 2}) and hash(p) == hash(LaurentPoly({0: 2}))
+    assert type(Scalar.from_int(3).num.coeffs[0]) is int
+    assert type(LaurentPoly({0: True}).coeffs[0]) is int
+    # sums and products that come out integral are stored as ints again
+    half = parse_scalar("1/2*q")
+    assert _stored_canonically(half + half) and _stored_canonically(half * 2)
+
+
+def test_evaluate_returns_a_fraction():
+    assert isinstance(LaurentPoly().evaluate(2), Fraction)
+    for s in (ZERO, ONE, Q, q_integer(3), parse_scalar("1/(q + 1)")):
+        assert isinstance(s.evaluate(2), Fraction), s
+        assert isinstance(s.num.evaluate(2), Fraction), s
+
+
 @settings(max_examples=60, deadline=None)
 @given(coeffs=st.lists(_random_scalars, max_size=4))
 def test_printed_polynomial_reads_back_through_parse_poly(coeffs):

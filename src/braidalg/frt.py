@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import chain, product
 
-from .linalg import BraidedSpace, SparseOperator, vec_add_scaled
+from .linalg import BraidedSpace, Echelon, SparseOperator, vec_add_scaled
 from .ncalg import (NCPoly, RelationSet, complete_rewrite, hilbert,
                     word_index)
 from .report import Report
@@ -155,10 +156,11 @@ def frt_hilbert(pres: FRTPresentation, max_degree: int) -> list[int]:
 class PairingTable:
     """Lazily populated pairing <generator word, t-word>.
 
-    The memo `_actions` keeps the action of each generator word on each
-    tensor power it was asked for, keyed by (word, k); the action of u is
-    the first symbol's extended action applied to the columns of the
-    memoized action of the rest of u.
+    The memo `_columns` keeps single columns of the action of generator
+    words on tensor powers, keyed by (word, k, col): column col of the action
+    of u on V^(x)k is the first symbol's extended action applied to the
+    memoized column of the rest of u.  Only the columns a pairing reads are
+    ever built.
     """
 
     def __init__(self, rep: Representation, n: int):
@@ -166,24 +168,22 @@ class PairingTable:
             raise ValueError("representation dimension must equal n")
         self.rep = rep
         self.n = n
-        self._actions: dict = {}
+        self._columns: dict = {}
 
-    def action(self, u_word, k: int) -> SparseOperator:
-        u = tuple(u_word)
-        op = self._actions.get((u, k))
-        if op is None:
+    def column(self, u: tuple, k: int, col: int) -> dict:
+        """Column `col` of the action of the word u on V^(x)k."""
+        key = (u, k, col)
+        vec = self._columns.get(key)
+        if vec is None:
             if u:
-                op = self.rep.actions.extended(u[0], k).compose(
-                    self.action(u[1:], k))
+                vec = self.rep.actions.extended(u[0], k).apply(
+                    self.column(u[1:], k, col))
             else:
-                op = SparseOperator.identity(self.rep.dim ** k)
-            self._actions[(u, k)] = op
-        return op
+                vec = {col: ONE}
+            self._columns[key] = vec
+        return vec
 
     def pair(self, u_word, t_word) -> Scalar:
-        k = len(t_word)
-        if k == 0:
-            return self.action(u_word, 0).columns[0].get(0, ZERO)
         rows = []
         cols = []
         for letter in t_word:
@@ -192,9 +192,9 @@ class PairingTable:
             a, b = divmod(letter, self.n)
             rows.append(a)
             cols.append(b)
-        x = self.action(u_word, k)
-        return x.columns[word_index(tuple(cols), self.n)].get(
-            word_index(tuple(rows), self.n), ZERO)
+        column = self.column(tuple(u_word), len(rows),
+                             word_index(cols, self.n))
+        return column.get(word_index(rows, self.n), ZERO)
 
     def pair_poly(self, u_word, p: NCPoly) -> Scalar:
         out = ZERO
@@ -210,19 +210,58 @@ def pairing(rep: Representation, u_word, t_word) -> Scalar:
     return PairingTable(rep, n).pair(tuple(u_word), tuple(t_word))
 
 
+def action_span_basis(table: PairingTable, max_degree: int):
+    """Yield generator words u with |u| <= max_degree whose actions X_u on
+    V (x) V form a basis of span{X_u : |u| <= max_degree}, each word as it
+    raises the rank of one echelon form of the flattened operators.
+
+    Layer 0 is the empty word (the identity); layer l + 1 is g u for every
+    generator g and every word u of layer l that raised the rank.  This
+    is exact: let S_l be the span of the X_u with |u| <= l and N_l the span
+    of the layer-l words that raised the rank, so S_l = S_{l-1} + N_l.
+    Then X_g S_{l-1} lies in S_l, and hence
+    S_{l+1} = S_l + sum_g X_g N_l.
+    A layer that adds nothing ends the growth: the span is saturated.  A
+    linear functional of X_u, such as u -> <u, r> for a degree-2 t-element
+    r, vanishes on every word up to the bound exactly when it vanishes on
+    the yielded words."""
+    gens = table.rep.presentation.generators
+    size = table.n ** 2
+    span = Echelon()
+    layer = [()]
+    for _ in range(max_degree + 1):
+        grew = []
+        for u in layer:
+            flat = {col * size + row: v for col in range(size)
+                    for row, v in table.column(u, 2, col).items()}
+            if span.insert(flat):
+                grew.append(u)
+                yield u
+        if not grew:
+            return
+        layer = [(g,) + u for u in grew for g in gens]
+
+
 def check_duality(rep: Representation, space: BraidedSpace,
                   max_degree: int = 3, samples: int = 200,
                   seed: int = 0) -> Report:
     """Annihilation <u, r> = 0 for every generator word u up to the degree
     bound and every relation, plus product/coproduct compatibility of the
     pairing on seeded samples.  The multiplication-order orientation that
-    holds is recorded in the report notes.  A degree bound or sample count
-    below 1 is refused: the sampled items would then check nothing."""
+    holds is recorded in the report notes.
+
+    Annihilation is certified on the words of `action_span_basis`; only if
+    one of them pairs to non-zero are all words enumerated, to count the
+    failures.  A degree bound or sample count below 1, or an empty relation
+    set, is refused: the check would then cover nothing."""
     if max_degree < 1:
         raise ValueError(f"duality check needs max_degree >= 1, got {max_degree}")
     if samples < 1:
         raise ValueError(f"duality check needs samples >= 1, got {samples}")
     pres = frt_relations(space)
+    if not pres.relations.relations:
+        raise ValueError("empty relation set: the annihilation check would "
+                         "pass without checking anything")
     table = PairingTable(rep, space.dim)
     gens = list(rep.presentation.generators)
     report = Report(f"finite-degree duality for {rep.name}")
@@ -238,27 +277,33 @@ def check_duality(rep: Representation, space: BraidedSpace,
                             word_index(cols, pres.n), c))
         rel_entries.append(entries)
 
-    words = [()]
-    frontier = [()]
-    for _ in range(max_degree):
-        frontier = [w + (g,) for w in frontier for g in gens]
-        words.extend(frontier)
+    def value(u, entries) -> Scalar:
+        out = ZERO
+        for k, row, col, c in entries:
+            out = out + table.column(u, k, col).get(row, ZERO) * c
+        return out
 
     bad = 0
     witness = ""
-    for u in words:
-        for idx, entries in enumerate(rel_entries):
-            value = ZERO
-            for k, row, col, c in entries:
-                x = table.action(u, k)
-                value = value + x.columns[col].get(row, ZERO) * c
-            if not value.is_zero():
-                bad += 1
-                if not witness:
-                    uname = " ".join(str(g) for g in u) if u else "1"
-                    witness = f"<{uname}, relation {idx + 1}> = {value}"
+    if not all(value(u, entries).is_zero()
+               for u in action_span_basis(table, max_degree)
+               for entries in rel_entries):
+        # recount over every word, in the order of increasing length, so the
+        # failure count and the first witness are those of the full check
+        words = chain.from_iterable(product(gens, repeat=length)
+                                    for length in range(max_degree + 1))
+        for u in words:
+            for idx, entries in enumerate(rel_entries):
+                pairing_value = value(u, entries)
+                if not pairing_value.is_zero():
+                    bad += 1
+                    if not witness:
+                        uname = " ".join(str(g) for g in u) if u else "1"
+                        witness = (f"<{uname}, relation {idx + 1}> = "
+                                   f"{pairing_value}")
+    word_count = sum(len(gens) ** length for length in range(max_degree + 1))
     report.add(
-        f"annihilation <u, r> = 0 for {len(words)} words x "
+        f"annihilation <u, r> = 0 for {word_count} words x "
         f"{len(rel_entries)} relations", bad == 0,
         "" if bad == 0 else f"{bad} non-zero pairings; first: {witness}")
 

@@ -199,6 +199,22 @@ def test_frt_n1_fixture(tmp_path):
     assert "empty relation set" in proc.stdout
 
 
+def test_frt_pair_with_on_empty_relation_set_exits_2(tmp_path):
+    rmatrix = tmp_path / "r1.json"
+    write_fixture({"kind": "rmatrix", "dim": 1, "form": "braiding",
+                   "entries": [["q"]]}, rmatrix)
+    trivial = tmp_path / "trivial.json"
+    write_fixture({"kind": "representation", "name": "trivial",
+                   "cartan": {"matrix": [[2]], "d": [1]}, "dim": 1,
+                   "generators": {"E1": [["0"]], "F1": [["0"]],
+                                  "K1": [["1"]], "K1^-1": [["1"]]}}, trivial)
+    proc = run_cli(["frt", "--input", str(rmatrix), "--pair-with",
+                    str(trivial)])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "empty relation set" in proc.stderr
+
+
 def test_usage_error_exits_2():
     proc = run_cli(["validate-r"])
     assert proc.returncode == 2

@@ -1,13 +1,16 @@
+import itertools
+import math
 import random
 
 import pytest
 
-from braidalg.frt import (FRTPresentation, PairingTable, check_duality,
-                          frt_coideal_check, frt_hilbert, frt_relations,
-                          pairing, t_names)
+from braidalg.builtin import builtin_sl
+from braidalg.frt import (FRTPresentation, PairingTable, action_span_basis,
+                          check_duality, frt_coideal_check, frt_hilbert,
+                          frt_relations, pairing, t_names)
 from braidalg.linalg import BraidedSpace, SymMatrix
-from braidalg.ncalg import NCPoly, RelationSet
-from braidalg.scalar import ONE, Q, ZERO, Scalar
+from braidalg.ncalg import NCPoly, RelationSet, relations_from_image
+from braidalg.scalar import ONE, Q, ZERO, Scalar, parse_poly
 from braidalg.uqg import Gen, Representation, check_preserves_R
 
 
@@ -212,3 +215,90 @@ def test_duality_refuses_degree_and_sample_bounds_below_one(sl2):
             check_duality(rep, space, max_degree=2, samples=samples)
     report = check_duality(rep, space, max_degree=1, samples=1)
     assert report.passed and "1 samples" in report.items[1].name
+
+
+def test_duality_refuses_empty_relation_set(sl2):
+    # a 1-dimensional space has no t-relations, so annihilation would be
+    # checked against nothing
+    rep, _ = sl2
+    zero, one = SymMatrix([[ZERO]]), SymMatrix([[ONE]])
+    trivial = Representation(rep.presentation, {
+        Gen("E", 0): zero, Gen("F", 0): zero, Gen("K", 0): one,
+        Gen("Ki", 0): one}, name="trivial")
+    space = BraidedSpace.from_braiding(SymMatrix([[Q]]))
+    with pytest.raises(ValueError, match="empty relation set"):
+        check_duality(trivial, space, max_degree=3)
+
+
+@pytest.mark.parametrize("n, saturation_degree", [(2, 2), (3, 4), (4, 6)])
+def test_action_span_saturates_at_commutant_dimension(n, saturation_degree):
+    # The image of U_q in End(V (x) V) is the commutant of the braiding
+    # (q-Schur-Weyl duality).  The braiding is Hecke and semisimple, so the
+    # commutant has dimension a^2 + b^2 for its eigenspace dimensions a, b,
+    # read off the images of B + q^-1 and B - q without frt_relations.
+    rep, space = builtin_sl(n)
+    sym = len(relations_from_image(space, parse_poly("x + q^-1")).relations)
+    ext = len(relations_from_image(space, parse_poly("x - q")).relations)
+    assert (sym, ext) == (math.comb(n + 1, 2), math.comb(n, 2))
+    expected = sym ** 2 + ext ** 2
+    assert expected == {2: 10, 3: 45, 4: 136}[n]
+
+    def basis_size(degree):
+        return len(list(action_span_basis(PairingTable(rep, n), degree)))
+
+    assert basis_size(saturation_degree - 1) < expected
+    assert basis_size(saturation_degree) == expected
+    assert basis_size(saturation_degree + 2) == expected
+    assert expected == n ** 4 - frt_relations(space).rank
+
+
+def _exhaustive_annihilation(rep, space, max_degree):
+    """The annihilation item of check_duality, recomputed word by word with
+    `pairing` over every generator word up to the degree bound."""
+    rels = frt_relations(space).relations.relations
+    gens = list(rep.presentation.generators)
+    words = [u for length in range(max_degree + 1)
+             for u in itertools.product(gens, repeat=length)]
+    bad, witness = 0, ""
+    for u in words:
+        for idx, rel in enumerate(rels):
+            value = ZERO
+            for w, c in rel.coeffs.items():
+                value = value + pairing(rep, u, w) * c
+            if not value.is_zero():
+                bad += 1
+                if not witness:
+                    uname = " ".join(str(g) for g in u) if u else "1"
+                    witness = f"<{uname}, relation {idx + 1}> = {value}"
+    name = (f"annihilation <u, r> = 0 for {len(words)} words x "
+            f"{len(rels)} relations")
+    detail = "" if bad == 0 else f"{bad} non-zero pairings; first: {witness}"
+    return name, bad == 0, detail
+
+
+def test_span_certificate_agrees_with_exhaustive_check(sl2, sl3):
+    rng = random.Random(11)
+    outcomes = set()
+    for (rep, space), degree, trials in ((sl2, 3, 14), (sl3, 2, 6)):
+        movable = [g for g in rep.presentation.generators if g.kind != "Ki"]
+        for _ in range(trials):
+            gen = rng.choice(movable)
+            i, j = rng.randrange(rep.dim), rng.randrange(rep.dim)
+            assign = dict(rep.assign)
+            entries = [list(row) for row in assign[gen].entries]
+            entries[i][j] = rng.choice([ONE, Q, -ONE])
+            assign[gen] = SymMatrix(entries)
+            if gen.kind == "K":
+                del assign[Gen("Ki", gen.index)]  # rebuilt by inversion
+            try:
+                mutated = Representation(rep.presentation, assign,
+                                         name="perturbed")
+            except ValueError:  # a K matrix made singular
+                continue
+            report = check_duality(mutated, space, max_degree=degree,
+                                   samples=1)
+            item = report.items[0]
+            assert (item.name, item.passed, item.detail) == \
+                _exhaustive_annihilation(mutated, space, degree), (gen, i, j)
+            outcomes.add(item.passed)
+    assert outcomes == {True, False}

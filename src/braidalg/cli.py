@@ -44,16 +44,17 @@ def degree(text: str) -> int:
 
 
 def _resolve_braiding(args, parser_name: str):
-    """Returns (label, braiding candidate matrix) without requiring the
-    braid equation to hold."""
+    """Returns (label, braiding candidate matrix, braided space or None)
+    without requiring the braid equation to hold: a builtin comes with the
+    space it was built and verified as, a fixture with None."""
     if getattr(args, "builtin", None):
         _, space = resolve_builtin(args.builtin)
-        return args.builtin, space.braiding
+        return args.builtin, space.braiding, space
     if getattr(args, "input", None):
         doc = load_fixture(args.input)
         if doc.get("kind") != "rmatrix":
             raise CliError(f"{parser_name} --input expects an rmatrix fixture")
-        return doc.get("name", args.input), braiding_from_fixture(doc)
+        return doc.get("name", args.input), braiding_from_fixture(doc), None
     raise CliError(f"{parser_name} needs --builtin or --input")
 
 
@@ -82,7 +83,7 @@ def _emit(args, text_lines: list, payload: dict, exit_code: int) -> int:
 
 
 def cmd_validate_r(args) -> int:
-    label, braiding = _resolve_braiding(args, "validate-r")
+    label, braiding, _ = _resolve_braiding(args, "validate-r")
     result = check_braid(braiding)
     dim = int(round(braiding.rows ** 0.5))
     convention = ("braid-equation operator = exchange matrix composed with "
@@ -126,9 +127,9 @@ def cmd_chi(args) -> int:
     else:
         if not args.poly:
             raise CliError("chi needs --poly when given a braiding")
-        label, braiding = _resolve_braiding(args, "chi")
+        label, braiding, space = _resolve_braiding(args, "chi")
         try:
-            space = BraidedSpace.from_braiding(braiding)
+            space = space or BraidedSpace.from_braiding(braiding)
         except BraidEquationError as exc:
             lines.append(f"invalid braiding: {exc}")
             payload["error"] = str(exc)
@@ -218,9 +219,9 @@ def cmd_check(args) -> int:
 
 
 def cmd_frt(args) -> int:
-    label, braiding = _resolve_braiding(args, "frt")
+    label, braiding, space = _resolve_braiding(args, "frt")
     try:
-        space = BraidedSpace.from_braiding(braiding)
+        space = space or BraidedSpace.from_braiding(braiding)
     except BraidEquationError as exc:
         payload = {"command": "frt", "error": str(exc)}
         return _emit(args, [f"invalid braiding: {exc}"], payload,

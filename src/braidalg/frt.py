@@ -154,13 +154,15 @@ def frt_hilbert(pres: FRTPresentation, max_degree: int) -> list[int]:
 
 
 class PairingTable:
-    """Lazily populated pairing <generator word, t-word>.
+    """Lazily populated pairing <generator word, t-word>, built for one
+    check and dropped with it.
 
-    The memo `_columns` keeps single columns of the action of generator
-    words on tensor powers, keyed by (word, k, col): column col of the action
-    of u on V^(x)k is the first symbol's extended action applied to the
+    The memo `_columns` is that check's cache of `ActionTable.act`: it keeps
+    the single columns act(u, {col: ONE}, k) of the generator words u the
+    check pairs, keyed by (u, k, col), each one symbol applied to the
     memoized column of the rest of u.  Only the columns a pairing reads are
-    ever built.
+    ever built.  It lives only as long as the check: a memo held by the
+    representation would grow with every check run against it.
     """
 
     def __init__(self, rep: Representation, n: int):
@@ -175,26 +177,23 @@ class PairingTable:
         key = (u, k, col)
         vec = self._columns.get(key)
         if vec is None:
-            if u:
-                vec = self.rep.actions.extended(u[0], k).apply(
-                    self.column(u[1:], k, col))
-            else:
-                vec = {col: ONE}
+            vec = (self.rep.actions.act(u[:1], self.column(u[1:], k, col), k)
+                   if u else {col: ONE})
             self._columns[key] = vec
         return vec
 
     def pair(self, u_word, t_word) -> Scalar:
-        rows = []
-        cols = []
+        """<u, t_{i1 j1} ... t_{ik jk}>: entry (i-vector, j-vector) of the
+        action of u on V^(x)k."""
+        n = self.n
+        row = col = 0
         for letter in t_word:
-            if not 0 <= letter < self.n * self.n:
+            if not 0 <= letter < n * n:
                 raise ValueError(f"unknown t-generator index {letter}")
-            a, b = divmod(letter, self.n)
-            rows.append(a)
-            cols.append(b)
-        column = self.column(tuple(u_word), len(rows),
-                             word_index(cols, self.n))
-        return column.get(word_index(rows, self.n), ZERO)
+            a, b = divmod(letter, n)
+            row = row * n + a
+            col = col * n + b
+        return self.column(tuple(u_word), len(t_word), col).get(row, ZERO)
 
     def pair_poly(self, u_word, p: NCPoly) -> Scalar:
         out = ZERO
@@ -267,34 +266,19 @@ def check_duality(rep: Representation, space: BraidedSpace,
     report = Report(f"finite-degree duality for {rep.name}")
     report.notes.append(pres.convention)
 
-    rel_entries = []
-    for rel in pres.relations.relations:
-        entries = []
-        for w, c in rel.coeffs.items():
-            rows = tuple(letter // pres.n for letter in w)
-            cols = tuple(letter % pres.n for letter in w)
-            entries.append((len(w), word_index(rows, pres.n),
-                            word_index(cols, pres.n), c))
-        rel_entries.append(entries)
-
-    def value(u, entries) -> Scalar:
-        out = ZERO
-        for k, row, col, c in entries:
-            out = out + table.column(u, k, col).get(row, ZERO) * c
-        return out
-
     bad = 0
     witness = ""
-    if not all(value(u, entries).is_zero()
+    relations = pres.relations.relations
+    if not all(table.pair_poly(u, rel).is_zero()
                for u in action_span_basis(table, max_degree)
-               for entries in rel_entries):
+               for rel in relations):
         # recount over every word, in the order of increasing length, so the
         # failure count and the first witness are those of the full check
         words = chain.from_iterable(product(gens, repeat=length)
                                     for length in range(max_degree + 1))
         for u in words:
-            for idx, entries in enumerate(rel_entries):
-                pairing_value = value(u, entries)
+            for idx, rel in enumerate(relations):
+                pairing_value = table.pair_poly(u, rel)
                 if not pairing_value.is_zero():
                     bad += 1
                     if not witness:
@@ -304,7 +288,7 @@ def check_duality(rep: Representation, space: BraidedSpace,
     word_count = sum(len(gens) ** length for length in range(max_degree + 1))
     report.add(
         f"annihilation <u, r> = 0 for {word_count} words x "
-        f"{len(rel_entries)} relations", bad == 0,
+        f"{len(relations)} relations", bad == 0,
         "" if bad == 0 else f"{bad} non-zero pairings; first: {witness}")
 
     rng = random.Random(seed)

@@ -338,31 +338,17 @@ class ActionTable:
     """The actions of coalgebra symbols on V and, through the iterated
     coproduct, on every tensor power V^(x)k, as sparse operators.
 
-    Products of symbol matrices on V are built once per word, and the
-    extended action of a symbol once per (symbol, k), from the Kronecker
-    products of the word operators in its iterated coproduct."""
+    `act` is the one way a word of symbols reaches V^(x)k; `operator` is its
+    column-by-column matrix.  The extended action of a symbol is built once
+    per (symbol, k), from the Kronecker products of the word operators on V
+    in its iterated coproduct."""
 
     def __init__(self, coalgebra: GeneratorCoalgebra, matrices: dict,
                  dim: int):
         self.coalgebra = coalgebra
         self.matrices = matrices
         self.dim = dim
-        self._words: dict = {}
         self._extended: dict = {}
-
-    def word(self, word) -> SparseOperator:
-        """The product of the matrices of `word` on V (the identity for the
-        empty word)."""
-        op = self._words.get(word)
-        if op is None:
-            if len(word) > 1:
-                op = self.word(word[:-1]).compose(self.word(word[-1:]))
-            elif word:
-                op = SparseOperator.from_matrix(self.matrices[word[0]])
-            else:
-                op = SparseOperator.identity(self.dim)
-            self._words[word] = op
-        return op
 
     def extended(self, symbol, k: int) -> SparseOperator:
         """The action of `symbol` on V^(x)k through the (k-1)-fold coproduct;
@@ -374,11 +360,12 @@ class ActionTable:
                 eps = self.coalgebra.counit[symbol]
                 op = SparseOperator(1, [{} if eps.is_zero() else {0: eps}])
             elif k == 1:
-                op = self.word((symbol,))
+                op = SparseOperator.from_matrix(self.matrices[symbol])
             else:
                 size = self.dim ** k
                 op = combine(size, size, (
-                    (reduce(SparseOperator.kron, map(self.word, words)), c)
+                    (reduce(SparseOperator.kron,
+                            (self.operator(w, 1) for w in words)), c)
                     for words, c in self.coalgebra.iterated_terms(symbol, k)))
             self._extended[key] = op
         return op
@@ -389,6 +376,13 @@ class ActionTable:
         for s in reversed(uword):
             vec = self.extended(s, k).apply(vec)
         return vec
+
+    def operator(self, uword, k: int) -> SparseOperator:
+        """The action of a word of symbols on V^(x)k (the identity for the
+        empty word), one `act` per column."""
+        size = self.dim ** k
+        return SparseOperator(size, (self.act(uword, {j: ONE}, k)
+                                     for j in range(size)))
 
 
 class Representation:
@@ -401,6 +395,10 @@ class Representation:
         self.presentation = presentation
         self.name = name
         assign = dict(assign)
+        unknown = [str(g) for g in assign if g not in presentation.generators]
+        if unknown:
+            raise ValueError("matrices for symbols not in the presentation: "
+                             + ", ".join(unknown))
         dims = {m.rows for m in assign.values()} | {m.cols for m in assign.values()}
         if len(dims) != 1:
             raise ValueError("all generator matrices must be square of equal size")
@@ -428,7 +426,8 @@ class Representation:
 
     def genpoly_matrix(self, poly: GenPoly) -> SymMatrix:
         return combine(self.dim, self.dim, (
-            (self.actions.word(w), c) for w, c in poly.items())).to_matrix()
+            (self.actions.operator(w, 1), c)
+            for w, c in poly.items())).to_matrix()
 
     def coalgebra(self) -> GeneratorCoalgebra:
         return self.presentation.coalgebra()
@@ -453,17 +452,12 @@ def generator_independence(rep: Representation) -> Report:
     The degree-2 block matters: on V alone the unit and the K_i images can
     be dependent (for the vector representation K + K^-1 is a multiple of
     the identity), while the extended actions separate them."""
-    d = rep.dim
     ech = Echelon()
     independent = True
-    for g in [None] + list(rep.presentation.generators):
-        if g is None:
-            ops = (SparseOperator.identity(d), SparseOperator.identity(d * d))
-        else:
-            ops = (rep.actions.extended(g, 1), rep.actions.extended(g, 2))
+    for u in [()] + [(g,) for g in rep.presentation.generators]:
         vec = {}
         offset = 0
-        for op in ops:
+        for op in (rep.actions.operator(u, 1), rep.actions.operator(u, 2)):
             for j, col in enumerate(op.columns):
                 for i, v in col.items():
                     vec[offset + i * op.rows + j] = v
@@ -492,9 +486,7 @@ def coproduct_action(rep: Representation, gen: Gen, k: int) -> SymMatrix:
 def word_action(rep: Representation, word, k: int) -> SymMatrix:
     """Action of a word of generators on the k-th tensor power (identity
     for the empty word)."""
-    size = rep.dim ** k
-    return SparseOperator(size, (rep.actions.act(tuple(word), {j: ONE}, k)
-                                 for j in range(size))).to_matrix()
+    return rep.actions.operator(tuple(word), k).to_matrix()
 
 
 def check_preserves_R(rep: Representation, space: BraidedSpace) -> Report:

@@ -6,7 +6,7 @@ from braidalg.builtin import builtin_sl
 from braidalg.cli import main
 from braidalg.fixtures import (matrix_entries, representation_fixture,
                                write_fixture)
-from braidalg.linalg import SymMatrix, flip_matrix
+from braidalg.linalg import BraidedSpace, SymMatrix, flip_matrix
 from braidalg.scalar import ONE
 from braidalg.uqg import Gen, Representation
 
@@ -359,3 +359,38 @@ def test_relations_fixture_names_that_do_not_read_back_exit_2(tmp_path):
         assert proc.stdout == ""
         assert "distinct non-empty strings without whitespace" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+def test_representation_fixture_with_unknown_generators_exits_2(tmp_path,
+                                                                 capsys):
+    rep, space = builtin_sl(2)
+    for extra in ("E2", "F0", "E-1"):
+        doc = representation_fixture(rep, space)
+        doc["generators"][extra] = matrix_entries(SymMatrix.identity(2))
+        fixture = tmp_path / "extra.json"
+        write_fixture(doc, fixture)
+        assert main(["check", "--rep", str(fixture), "relations"]) == 2, extra
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"not in the presentation: {extra}" in captured.err
+
+
+def test_builtin_space_is_not_built_again(monkeypatch, capsys):
+    def refuse(braiding):
+        raise AssertionError("builtin space rebuilt from its braiding")
+    monkeypatch.setattr(BraidedSpace, "from_braiding", refuse)
+    assert main(["frt", "--builtin", "sl:2", "--max-degree", "2"]) == 0
+    assert main(["chi", "--builtin", "sl:2", "--poly", "x - q"]) == 0
+    capsys.readouterr()
+
+
+def test_non_braid_fixture_is_invalid_for_chi_and_frt(tmp_path, capsys):
+    bad = SymMatrix.from_diagonal([ONE, ONE, ONE, ONE]) + \
+        SymMatrix.unit(4, 1, 2)
+    fixture = tmp_path / "bad.json"
+    write_fixture({"kind": "rmatrix", "dim": 2, "form": "braiding",
+                   "entries": matrix_entries(bad)}, fixture)
+    for argv in (["chi", "--input", str(fixture), "--poly", "x - q"],
+                 ["frt", "--input", str(fixture)]):
+        assert main(argv) == 1, argv
+        assert "invalid braiding" in capsys.readouterr().out

@@ -95,6 +95,31 @@ def test_check_representation_perturbed(sl2):
     assert any("residual" in item.detail for item in report.failures())
 
 
+def test_check_representation_residual_matches_dense_products(sl2):
+    # oracle: each relation evaluated as a sum of products of the dense
+    # generator matrices, independent of the sparse word operators
+    rep, _ = sl2
+    assign = dict(rep.assign)
+    entries = [list(row) for row in assign[Gen("E", 0)].entries]
+    entries[0][0] = ONE
+    assign[Gen("E", 0)] = SymMatrix(entries)
+    bad = Representation(rep.presentation, assign, name="perturbed")
+    report = check_representation(bad)
+    items = {item.name: item for item in report.items}
+    for label, poly in bad.presentation.relations:
+        expected = SymMatrix.zeros(2)
+        for word, c in poly.items():
+            product = SymMatrix.identity(2)
+            for g in word:
+                product = product * bad.matrix(g)
+            expected = expected + product * c
+        item = items[label]
+        assert item.passed == expected.is_zero(), label
+        if not item.passed:
+            assert item.detail == f"residual:\n{expected}", label
+    assert not report.passed
+
+
 def test_trivial_representation_passes():
     pres = presentation_from_cartan(CartanData.sl(2))
     zero = SymMatrix.zeros(2)
@@ -343,3 +368,24 @@ def test_ideal_checks_refuse_a_mismatched_alphabet(sl2, sl3):
         rs = complete_rewrite(rels, 2)
         with pytest.raises(ValueError, match="alphabet sizes differ"):
             act_on_quotient(rep, rs, Gen("E", 0), (0, 0))
+
+
+def test_antipode_identity_detects_sign_flip(sl2):
+    rep, _ = sl2
+    pres = rep.presentation
+    E, Ki = Gen("E", 0), Gen("Ki", 0)
+    antipode = dict(pres.antipode)
+    antipode[E] = {(E, Ki): ONE}
+    flipped = UqPresentation(pres.cartan, pres.generators, pres.relations,
+                             pres.delta, pres.counit, antipode, pres.q_i)
+    report = check_antipode(Representation(flipped, rep.assign))
+    assert [item.name for item in report.failures()] == \
+        ["m(S x 1)delta(E1) = eps(E1)1"]
+
+
+def test_generator_independence_fails_on_trivial_representation():
+    pres = presentation_from_cartan(CartanData.sl(2))
+    zero = SymMatrix.zeros(2)
+    trivial = Representation(pres, {Gen("E", 0): zero, Gen("F", 0): zero,
+                                    Gen("K", 0): SymMatrix.identity(2)})
+    assert not generator_independence(trivial).passed

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, product
 
 from .linalg import BraidedSpace, Echelon, SparseOperator, vec_add_scaled
@@ -20,7 +21,7 @@ from .ncalg import (NCPoly, RelationSet, complete_rewrite, hilbert,
                     word_index)
 from .report import Report
 from .scalar import ONE, ZERO, Scalar
-from .uqg import Representation
+from .uqg import GeneratorCoalgebra, Representation
 
 
 def t_names(n: int) -> list[str]:
@@ -32,7 +33,7 @@ def t_names(n: int) -> list[str]:
 class FRTPresentation:
     """Generators t_ij (alphabet flattened as a*n + b), the echelonized
     basis of im(alpha - beta) as degree-2 relations, and the matrix
-    coproduct/counit rules."""
+    coalgebra of the t_ij, `GeneratorCoalgebra.matrix(n)`."""
 
     n: int
     relations: RelationSet
@@ -43,34 +44,9 @@ class FRTPresentation:
     def alphabet(self) -> int:
         return self.n * self.n
 
-    def letter(self, a: int, b: int) -> int:
-        return a * self.n + b
-
-    def coproduct_letter(self, letter: int) -> list:
-        """delta(t_ab) = sum_k t_ak (x) t_kb as letter-index pairs."""
-        a, b = divmod(letter, self.n)
-        return [(self.letter(a, k), self.letter(k, b)) for k in range(self.n)]
-
-    def counit_letter(self, letter: int) -> Scalar:
-        a, b = divmod(letter, self.n)
-        return ONE if a == b else ZERO
-
-    def counit_word(self, word) -> Scalar:
-        out = ONE
-        for letter in word:
-            out = out * self.counit_letter(letter)
-            if out.is_zero():
-                return ZERO
-        return out
-
-    def coproduct_word(self, word) -> list:
-        """delta on a word of t-letters: n**len(word) pairs of words."""
-        pairs = [((), ())]
-        for letter in word:
-            pairs = [(l + (x,), r + (y,))
-                     for l, r in pairs
-                     for x, y in self.coproduct_letter(letter)]
-        return pairs
+    @cached_property
+    def coalgebra(self) -> GeneratorCoalgebra:
+        return GeneratorCoalgebra.matrix(self.n)
 
 
 def _middle_swap(n: int) -> list[int]:
@@ -123,21 +99,22 @@ def frt_coideal_check(pres: FRTPresentation) -> Report:
     for idx, rel in enumerate(pres.relations.relations):
         eps = ZERO
         for w, c in rel.coeffs.items():
-            eps = eps + pres.counit_word(w) * c
+            eps = eps + pres.coalgebra.counit_word(w) * c
         report.add(f"eps(relation {idx + 1}) = 0", eps.is_zero())
         accumulated: dict = {}
         for w, c in rel.coeffs.items():
-            for left, right in pres.coproduct_word(w):
+            for left, right, c2 in pres.coalgebra.delta_word(w):
                 lred = reduced(left)
                 if not lred:
                     continue
                 rred = reduced(right)
                 if not rred:
                     continue
+                term = c * c2
                 for li, lc in lred.items():
                     for ri, rc in rred.items():
                         key = (li, ri)
-                        nv = accumulated.get(key, ZERO) + c * lc * rc
+                        nv = accumulated.get(key, ZERO) + term * lc * rc
                         if nv.is_zero():
                             accumulated.pop(key, None)
                         else:
@@ -309,9 +286,9 @@ def check_duality(rep: Representation, space: BraidedSpace,
         lhs = table.pair(u + v, a)
         rhs_plain = ZERO
         rhs_op = ZERO
-        for left, right in pres.coproduct_word(a):
-            rhs_plain = rhs_plain + table.pair(u, left) * table.pair(v, right)
-            rhs_op = rhs_op + table.pair(v, left) * table.pair(u, right)
+        for left, right, c in pres.coalgebra.delta_word(a):
+            rhs_plain += table.pair(u, left) * table.pair(v, right) * c
+            rhs_op += table.pair(v, left) * table.pair(u, right) * c
         if lhs != rhs_plain:
             product_plain = False
         if lhs != rhs_op:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from math import gcd
 
 from .linalg import (BraidedSpace, Echelon, SparseOperator, SymMatrix,
@@ -142,9 +142,10 @@ class GeneratorCoalgebra:
 
     `delta[s]` lists the terms of the comultiplication of symbol s as
     (left word, right word, coefficient); the unit is the empty word and is
-    implicitly group-like.  The classical mode uses primitive generators.
-    Coassociativity and the counit laws are verified symbolically at
-    construction.
+    implicitly group-like.  Both sides of the dual pairing are instances:
+    the U_q generators, the primitive generators of the classical mode and
+    the matrix coefficients t_ab of the FRT bialgebra.  Coassociativity and
+    the counit laws are verified symbolically at construction.
     """
 
     def __init__(self, symbols, delta, counit):
@@ -163,15 +164,28 @@ class GeneratorCoalgebra:
         counit = {s: ZERO for s in symbols}
         return cls(symbols, delta, counit)
 
+    @classmethod
+    def matrix(cls, n: int) -> "GeneratorCoalgebra":
+        """The t_ab as letters a*n + b, with delta(t_ab) = sum_k t_ak (x) t_kb
+        and eps(t_ab) = delta_ab."""
+        letters = range(n * n)
+        delta = {s: [((s - s % n + k,), (k * n + s % n,), ONE)
+                     for k in range(n)] for s in letters}
+        counit = {s: ONE if s // n == s % n else ZERO for s in letters}
+        return cls(letters, delta, counit)
+
     def delta_word(self, word) -> list:
+        """One term (left, right, coefficient) per choice of a term of each
+        symbol; terms with equal words are not collected."""
         terms = [((), (), ONE)]
         for s in word:
             expanded = []
             for l1, r1, c1 in terms:
                 for l2, r2, c2 in self.delta[s]:
-                    expanded.append((l1 + l2, r1 + r2, c1 * c2))
+                    expanded.append((l1 + l2, r1 + r2,
+                                     c2 if c1 is ONE else c1 * c2))
             terms = expanded
-        return _collect_pairs(terms)
+        return terms
 
     def counit_word(self, word) -> Scalar:
         out = ONE
@@ -182,6 +196,8 @@ class GeneratorCoalgebra:
     def iterated_terms(self, symbol, k: int) -> list:
         """Terms of the (k-1)-fold comultiplication as (k-tuple of words,
         coefficient); requires k >= 1."""
+        if k < 1:
+            raise ValueError(f"iterated coproduct needs k >= 1, got {k}")
         terms = [(((symbol,),), ONE)]
         while len(terms[0][0]) < k:
             expanded = {}
@@ -226,13 +242,6 @@ def _acc(target: dict, key, value: Scalar):
         target[key] = nv
 
 
-def _collect_pairs(terms) -> list:
-    out: dict = {}
-    for l, r, c in terms:
-        _acc(out, (l, r), c)
-    return [(l, r, c) for (l, r), c in out.items()]
-
-
 @dataclass
 class UqPresentation:
     """Generators, defining relations and Hopf tables instantiated from
@@ -250,13 +259,9 @@ class UqPresentation:
     def rank(self) -> int:
         return self.cartan.rank
 
+    @cached_property
     def coalgebra(self) -> GeneratorCoalgebra:
-        cached = getattr(self, "_coalgebra", None)
-        if cached is None:
-            cached = GeneratorCoalgebra(self.generators, self.delta,
-                                        self.counit)
-            self._coalgebra = cached
-        return cached
+        return GeneratorCoalgebra(self.generators, self.delta, self.counit)
 
 
 def presentation_from_cartan(cartan: CartanData) -> UqPresentation:
@@ -341,7 +346,8 @@ class ActionTable:
     `act` is the one way a word of symbols reaches V^(x)k; `operator` is its
     column-by-column matrix.  The extended action of a symbol is built once
     per (symbol, k), from the Kronecker products of the word operators on V
-    in its iterated coproduct."""
+    in its iterated coproduct.  Unknown symbols and negative tensor powers
+    are refused with ValueError when an extended action is first built."""
 
     def __init__(self, coalgebra: GeneratorCoalgebra, matrices: dict,
                  dim: int):
@@ -356,6 +362,10 @@ class ActionTable:
         key = (symbol, k)
         op = self._extended.get(key)
         if op is None:
+            if symbol not in self.matrices:
+                raise ValueError(f"unknown generator {symbol}")
+            if k < 0:
+                raise ValueError(f"tensor power must be non-negative, got {k}")
             if k == 0:
                 eps = self.coalgebra.counit[symbol]
                 op = SparseOperator(1, [{} if eps.is_zero() else {0: eps}])
@@ -379,10 +389,15 @@ class ActionTable:
 
     def operator(self, uword, k: int) -> SparseOperator:
         """The action of a word of symbols on V^(x)k (the identity for the
-        empty word), one `act` per column."""
-        size = self.dim ** k
-        return SparseOperator(size, (self.act(uword, {j: ONE}, k)
-                                     for j in range(size)))
+        empty word): the rest of the word applied by `act` to each column of
+        the last symbol's extended action, whose dicts it may share."""
+        if k < 0:
+            raise ValueError(f"tensor power must be non-negative, got {k}")
+        if not uword:
+            return SparseOperator.identity(self.dim ** k)
+        last = self.extended(uword[-1], k)
+        return SparseOperator(last.rows, (self.act(uword[:-1], col, k)
+                                          for col in last.columns))
 
 
 class Representation:
@@ -419,7 +434,7 @@ class Representation:
             if g not in assign:
                 raise ValueError(f"missing matrix for {g}")
         self.assign = assign
-        self.actions = ActionTable(presentation.coalgebra(), assign, self.dim)
+        self.actions = ActionTable(presentation.coalgebra, assign, self.dim)
 
     def matrix(self, gen: Gen) -> SymMatrix:
         return self.assign[gen]
@@ -430,7 +445,7 @@ class Representation:
             for w, c in poly.items())).to_matrix()
 
     def coalgebra(self) -> GeneratorCoalgebra:
-        return self.presentation.coalgebra()
+        return self.presentation.coalgebra
 
 
 def check_representation(rep: Representation) -> Report:
@@ -476,10 +491,6 @@ def generator_independence(rep: Representation) -> Report:
 def coproduct_action(rep: Representation, gen: Gen, k: int) -> SymMatrix:
     """The action of a generator on the k-th tensor power, obtained from the
     (k-1)-fold coproduct; k = 0 yields the 1x1 matrix of the counit."""
-    if gen not in rep.assign:
-        raise ValueError(f"unknown generator {gen}")
-    if k < 0:
-        raise ValueError("tensor power must be non-negative")
     return rep.actions.extended(gen, k).to_matrix()
 
 
@@ -524,8 +535,9 @@ def act_on_quotient(rep: Representation, rs: RewriteSystem, gen: Gen,
             f"degree {k} exceeds completion bound {rs.degree_bound}")
     if rep.dim != rs.alphabet:
         raise ValueError("representation and relation alphabet sizes differ")
-    if gen not in rep.assign:
-        raise ValueError(f"unknown generator {gen}")
+    outside = [letter for letter in word if not 0 <= letter < rs.alphabet]
+    if outside:
+        raise ValueError(f"letters outside the alphabet: {outside}")
     vec = rep.actions.act((gen,), {word_index(word, rs.alphabet): ONE}, k)
     return rs.normal_form(vector_to_poly(vec, rs.alphabet, k))
 

@@ -11,7 +11,8 @@ from braidalg.frt import (FRTPresentation, PairingTable, action_span_basis,
 from braidalg.linalg import BraidedSpace, SymMatrix
 from braidalg.ncalg import NCPoly, RelationSet, relations_from_image
 from braidalg.scalar import ONE, Q, ZERO, Scalar, parse_poly
-from braidalg.uqg import Gen, Representation, check_preserves_R
+from braidalg.uqg import (Gen, GeneratorCoalgebra, Representation,
+                          check_preserves_R)
 
 
 def test_n1_space_has_no_relations():
@@ -95,20 +96,72 @@ def test_counit_annihilates_relations(sl2):
     for rel in pres.relations.relations:
         total = ZERO
         for w, c in rel.coeffs.items():
-            total = total + pres.counit_word(w) * c
+            total = total + pres.coalgebra.counit_word(w) * c
         assert total.is_zero()
 
 
 def test_coproduct_counit_law_on_letters(sl2):
     _, space = sl2
     pres = frt_relations(space)
+    coalg = pres.coalgebra
     for letter in range(4):
-        left = [r for l, r in pres.coproduct_letter(letter)
-                if not pres.counit_letter(l).is_zero()]
-        right = [l for l, r in pres.coproduct_letter(letter)
-                 if not pres.counit_letter(r).is_zero()]
+        left = [r for (l,), (r,), _ in coalg.delta[letter]
+                if not coalg.counit[l].is_zero()]
+        right = [l for (l,), (r,), _ in coalg.delta[letter]
+                 if not coalg.counit[r].is_zero()]
         assert left == [letter]
         assert right == [letter]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_matrix_coalgebra_tables(n):
+    coalg = GeneratorCoalgebra.matrix(n)
+    assert coalg.symbols == tuple(range(n * n))
+    for a, b in itertools.product(range(n), repeat=2):
+        assert coalg.counit[a * n + b] == (ONE if a == b else ZERO)
+        assert coalg.delta[a * n + b] == [((a * n + k,), (k * n + b,), ONE)
+                                          for k in range(n)]
+
+
+@pytest.mark.parametrize("n, max_length", [(2, 4), (3, 3)])
+def test_matrix_coalgebra_delta_word(n, max_length):
+    """delta(t_{a1 b1} ... t_{ak bk}) = sum over k-tuples of middle indices
+    m of t_{a1 m1} ... t_{ak mk} (x) t_{m1 b1} ... t_{mk bk}: n**k distinct
+    pairs of words, each with coefficient 1."""
+    coalg = GeneratorCoalgebra.matrix(n)
+    for length in range(max_length + 1):
+        for word in itertools.product(range(n * n), repeat=length):
+            terms = coalg.delta_word(word)
+            ends = [divmod(letter, n) for letter in word]
+            expected = {
+                (tuple(a * n + m for (a, _), m in zip(ends, mid)),
+                 tuple(m * n + b for (_, b), m in zip(ends, mid)))
+                for mid in itertools.product(range(n), repeat=length)}
+            assert len(terms) == n ** length
+            assert {(l, r) for l, r, _ in terms} == expected
+            assert all(c == ONE for _, _, c in terms)
+
+
+def test_corrupted_matrix_coalgebra_is_refused():
+    good = GeneratorCoalgebra.matrix(2)
+    counit = dict(good.counit)
+    counit[1] = ONE  # eps(t12) = 1
+    with pytest.raises(ValueError, match="invalid coalgebra tables"):
+        GeneratorCoalgebra(good.symbols, good.delta, counit)
+    delta = dict(good.delta)
+    delta[1] = delta[1][:1]  # delta(t12) = t11 (x) t12 only
+    with pytest.raises(ValueError, match="invalid coalgebra tables"):
+        GeneratorCoalgebra(good.symbols, delta, good.counit)
+
+
+def test_presentation_coalgebra_is_the_matrix_coalgebra(sl3):
+    _, space = sl3
+    pres = frt_relations(space)
+    assert pres.coalgebra is pres.coalgebra
+    matrix = GeneratorCoalgebra.matrix(3)
+    assert pres.coalgebra.symbols == matrix.symbols
+    assert pres.coalgebra.delta == matrix.delta
+    assert pres.coalgebra.counit == matrix.counit
 
 
 def test_frt_hilbert_flat(sl2):

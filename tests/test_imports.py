@@ -1,5 +1,6 @@
-"""Every name a braidalg module imports is used in that module.  The
-package's `__init__.py` is left out: its imports are re-exports."""
+"""Every name a braidalg module imports is used in that module (the
+package's `__init__.py` is left out: its imports are re-exports), and every
+private top-level function or class is used in its module."""
 
 import ast
 from pathlib import Path
@@ -33,5 +34,40 @@ def test_no_unused_imports_in_braidalg():
                      if p.name != "__init__.py")
     assert modules
     found = {p.name: unused_imports(p.read_text(encoding="utf-8"))
+             for p in modules}
+    assert {name: names for name, names in found.items() if names} == {}
+
+
+def unreferenced_private_names(source: str) -> list[str]:
+    """Top-level functions and classes named with one leading underscore
+    that no code of the module refers to outside their own definition."""
+    tree = ast.parse(source)
+    private = [node for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                    ast.ClassDef))
+               and node.name.startswith("_") and not node.name.endswith("__")]
+    out = []
+    for node in private:
+        own = {id(n) for n in ast.walk(node)}
+        if not any(isinstance(n, ast.Name) and n.id == node.name
+                   and id(n) not in own for n in ast.walk(tree)):
+            out.append(f"{node.name} (line {node.lineno})")
+    return out
+
+
+def test_unreferenced_private_names_are_found():
+    source = ("def _used():\n    return 1\n"
+              "def _unused():\n    return _used()\n"
+              "def _recursive(n):\n    return _recursive(n - 1)\n"
+              "class _Alone:\n    pass\n"
+              "def __getattr__(name):\n    raise AttributeError(name)\n")
+    assert unreferenced_private_names(source) == [
+        "_unused (line 3)", "_recursive (line 5)", "_Alone (line 7)"]
+
+
+def test_no_unreferenced_private_names_in_braidalg():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    found = {p.name: unreferenced_private_names(p.read_text(encoding="utf-8"))
              for p in modules}
     assert {name: names for name, names in found.items() if names} == {}

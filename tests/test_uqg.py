@@ -1,6 +1,7 @@
 import pytest
 
 from braidalg.builtin import classical_space, sl2_lie_actions
+from braidalg.frt import pairing
 from braidalg.linalg import BraidedSpace, SymMatrix, kron
 from braidalg.ncalg import complete_rewrite, relations_from_image
 from braidalg.scalar import ONE, Q, parse_poly, q_integer
@@ -336,6 +337,33 @@ def test_coproduct_action_rejects_unknown_generator(sl2):
         coproduct_action(rep, Gen("E", 5), 2)
     with pytest.raises(ValueError):
         coproduct_action(rep, Gen("E", 0), -1)
+
+
+def test_action_inputs_are_refused_with_value_error(sl2):
+    rep, space = sl2
+    e1, unknown = Gen("E", 0), Gen("E", 5)
+    for word in ((e1,), ()):
+        with pytest.raises(ValueError, match="got -1"):
+            word_action(rep, word, -1)
+    with pytest.raises(ValueError, match="unknown generator E6"):
+        word_action(rep, (e1, unknown), 2)
+    with pytest.raises(ValueError, match="unknown generator E6"):
+        pairing(rep, (unknown,), (0,))
+    rs = complete_rewrite(relations_from_image(space, parse_poly("x - q")), 3)
+    for word in ((0, 2), (-1,)):
+        with pytest.raises(ValueError, match="outside the alphabet"):
+            act_on_quotient(rep, rs, e1, word)
+    with pytest.raises(ValueError, match="unknown generator E6"):
+        act_on_quotient(rep, rs, unknown, (0,))
+
+
+def test_iterated_terms_refuse_k_below_one(sl2):
+    rep, _ = sl2
+    e1 = Gen("E", 0)
+    assert rep.coalgebra().iterated_terms(e1, 1) == [(((e1,),), ONE)]
+    for k in (0, -1):
+        with pytest.raises(ValueError, match=f"got {k}"):
+            rep.coalgebra().iterated_terms(e1, k)
 
 
 def test_invalid_coalgebra_tables_rejected():

@@ -287,8 +287,10 @@ def check_duality(rep: Representation, space: BraidedSpace,
         rhs_plain = ZERO
         rhs_op = ZERO
         for left, right, c in pres.coalgebra.delta_word(a):
-            rhs_plain += table.pair(u, left) * table.pair(v, right) * c
-            rhs_op += table.pair(v, left) * table.pair(u, right) * c
+            plain = table.pair(u, left) * table.pair(v, right)
+            op = table.pair(v, left) * table.pair(u, right)
+            rhs_plain += plain if c is ONE else plain * c
+            rhs_op += op if c is ONE else op * c
         if lhs != rhs_plain:
             product_plain = False
         if lhs != rhs_op:

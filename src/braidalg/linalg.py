@@ -227,9 +227,9 @@ def flip_matrix(n: int) -> SymMatrix:
 
 # --- sparse echelon machinery -----------------------------------------------
 #
-# Vectors are dicts {index: Scalar} with no zero entries.  Pivots are chosen
-# lowest-index-first with no coefficient heuristics, so every reported basis
-# is deterministic.
+# Vectors are dicts {index: Scalar} with no zero entries.  `Echelon` chooses
+# pivots lowest-index-first with no coefficient heuristics, so every reported
+# basis is deterministic.
 
 
 def vec_add_scaled(target: dict, src: dict, c: Scalar):
@@ -266,7 +266,7 @@ class Echelon:
         res = self.reduce(vec)
         if not res:
             return False
-        pivot = min(res)
+        pivot = self.choose_pivot(res)
         inv = res[pivot].inverse()
         res = {i: v * inv for i, v in res.items()}
         for row in self.pivot_rows.values():
@@ -274,6 +274,10 @@ class Echelon:
                 vec_add_scaled(row, res, -row[pivot])
         self.pivot_rows[pivot] = res
         return True
+
+    def choose_pivot(self, res: dict) -> int:
+        """The pivot of a non-zero residual: any index keeps the rank."""
+        return min(res)
 
     def contains(self, vec: dict) -> bool:
         return not self.reduce(vec)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .linalg import Echelon, SparseOperator, combine
+from .linalg import Echelon, SparseOperator, combine, vec_add_scaled
 from .scalar import ONE, ZERO, Scalar, join_terms
 
 Word = tuple
@@ -392,30 +392,45 @@ def hilbert(rs: RewriteSystem, max_degree: int) -> list[int]:
     return dims
 
 
+class _UnitPivotEchelon(Echelon):
+    """Pivots on the lowest index whose coefficient is +-q**k, if any, so
+    that rows stay in Z[q, q^-1] more often; for rank-only use."""
+
+    def choose_pivot(self, res: dict) -> int:
+        units = [i for i, v in res.items()
+                 if (m := v.as_monomial()) is not None and m[1] in (1, -1)]
+        return min(units or res)
+
+
 def hilbert_oracle(relations: RelationSet, max_degree: int) -> list[int]:
-    """Graded dimensions computed by rank over the full degree-d component:
-    dim_d = n**d - dim( sum_i V**i (x) rel (x) V**(d-2-i) )."""
+    """Graded dimensions of T(V)/I for degrees 0..max_degree by rank alone
+    (Polishchuk-Positselski, Quadratic Algebras, ch. 1).  As I_d = I_{d-1}
+    (x) V + V**(d-2) (x) R and I_{d-2} (x) R lies in I_{d-1} (x) V, A_d is
+    A_{d-1} (x) V modulo the sum c_ab pi_{d-1}(s a) (x) b for each standard
+    word s of degree d-2 and relation sum c_ab x_a x_b; its non-pivot words
+    t b are the standard words of degree d.  No word order, completion or
+    rewriting enters, so the result checks `hilbert` independently."""
     n = relations.alphabet
-    rel_vecs = relations.span.basis()
-    dims = []
-    for d in range(max_degree + 1):
-        if d < 2:
-            dims.append(n ** d)
-            continue
-        ech = Echelon()
-        for i in range(d - 1):
-            right_len = d - 2 - i
-            for left_idx in range(n ** i):
-                base_left = left_idx * (n ** (d - i))
-                for right_idx in range(n ** right_len):
-                    for rel in rel_vecs:
-                        vec = {}
-                        for mid_idx, c in rel.items():
-                            full = base_left + mid_idx * (n ** right_len) + right_idx
-                            vec[full] = c
-                        ech.insert(vec)
-        dims.append(n ** d - ech.rank)
-    return dims
+    rels = [[(*divmod(i, n), c) for i, c in vec.items()]
+            for vec in relations.span.basis()]
+    standard = [[0], list(range(n))]    # word indices of bases of A_0, A_1
+    prev = _UnitPivotEchelon()          # degree 1: V, no relations
+    for _ in range(2, max_degree + 1):
+        ech = _UnitPivotEchelon()
+        for s in standard[-2]:
+            # pi[a] is pi_{d-1}(s a), its words shifted to make room for b
+            pi = [{t * n: v for t, v in prev.reduce({s * n + a: ONE}).items()}
+                  for a in range(n)]
+            for rel in rels:
+                vec: dict = {}
+                for a, b, c in rel:
+                    shifted = {t + b: v for t, v in pi[a].items()}
+                    vec_add_scaled(vec, shifted, c)
+                ech.insert(vec)
+        words = (t * n + b for t in standard[-1] for b in range(n))
+        standard.append([w for w in words if w not in ech.pivot_rows])
+        prev = ech
+    return [len(words) for words in standard[:max_degree + 1]]
 
 
 def word_index(word: Word, alphabet: int) -> int:

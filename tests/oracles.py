@@ -1,0 +1,104 @@
+"""Test-local references for `ncalg.hilbert_oracle`.
+
+`hilbert_reference` is the definition: the rank of the degree-2 relations
+placed at every position of V**d, eliminated exactly over Q(q).  It costs
+n**d columns, so the tests call it at small degrees only.
+
+`modular_hilbert` is the same definition with q sent to a seeded random
+residue modulo the prime P = 2**61 - 1 and the rank taken over plain ints.
+The specialized rank of a subspace is at most its rank over Q(q), and equal
+to it unless q0 is a root of one of finitely many non-zero polynomials
+(Schwartz-Zippel), so the specialized dimensions bound the generic ones from
+above and agree with them with high probability.  It uses no `Scalar`
+arithmetic and no `Echelon`: it reads only the integer coefficients of the
+relations.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+
+from braidalg.linalg import Echelon
+
+P = 2 ** 61 - 1
+
+
+def hilbert_reference(relations, max_degree: int) -> list[int]:
+    """dim_d = n**d - dim( sum_i V**i (x) R (x) V**(d-2-i) ), exactly."""
+    n = relations.alphabet
+    rel_vecs = relations.span.basis()
+    dims = []
+    for d in range(max_degree + 1):
+        if d < 2:
+            dims.append(n ** d)
+            continue
+        ech = Echelon()
+        for vec in _placed(rel_vecs, n, d):
+            ech.insert(vec)
+        dims.append(n ** d - ech.rank)
+    return dims
+
+
+def modular_hilbert(relations, max_degree: int, seed: int) -> list[int]:
+    """`hilbert_reference` at q = q0 (mod P), q0 drawn from `seed`."""
+    q0 = random.Random(seed).randrange(2, P - 1)
+    n = relations.alphabet
+    rel_vecs = []
+    for rel in relations.relations:
+        vec = {w[0] * n + w[1]: _residue(c, q0) for w, c in rel.coeffs.items()}
+        rel_vecs.append({i: v for i, v in vec.items() if v})
+    return [n ** d - _modular_rank(_placed(rel_vecs, n, d)) if d >= 2 else n ** d
+            for d in range(max_degree + 1)]
+
+
+def _placed(rel_vecs, n: int, d: int):
+    """Each relation vector at each position i of V**i (x) R (x) V**(d-2-i),
+    over the flattened indices of the words of degree d."""
+    for i in range(d - 1):
+        right_len = d - 2 - i
+        for left_idx in range(n ** i):
+            base_left = left_idx * (n ** (d - i))
+            for right_idx in range(n ** right_len):
+                for rel in rel_vecs:
+                    yield {base_left + mid_idx * (n ** right_len) + right_idx: c
+                           for mid_idx, c in rel.items()}
+
+
+def _residue(scalar, q0: int) -> int:
+    """The value at q = q0 modulo P of a Q(q) element, from the rational
+    coefficients of its numerator and denominator."""
+    def at(poly) -> int:
+        total = 0
+        for e, v in poly.coeffs.items():
+            v = Fraction(v)
+            total += v.numerator * pow(v.denominator, -1, P) * pow(q0, e, P)
+        return total % P
+
+    den = at(scalar.den)
+    if not den:
+        raise ZeroDivisionError(f"q0 = {q0} is a pole of {scalar}")
+    return at(scalar.num) * pow(den, -1, P) % P
+
+
+def _modular_rank(vectors) -> int:
+    """Rank over Z/P of sparse vectors {index: int}, by forward elimination
+    on the lowest index."""
+    rows: dict[int, dict] = {}
+    for vec in vectors:
+        vec = dict(vec)
+        while vec:
+            lead = min(vec)
+            row = rows.get(lead)
+            if row is None:
+                inv = pow(vec[lead], -1, P)
+                rows[lead] = {i: v * inv % P for i, v in vec.items()}
+                break
+            c = vec[lead]
+            for i, v in row.items():
+                nv = (vec.get(i, 0) - c * v) % P
+                if nv:
+                    vec[i] = nv
+                else:
+                    vec.pop(i, None)
+    return len(rows)

@@ -8,7 +8,7 @@ derived by cabling the vector braiding.
 from __future__ import annotations
 
 from .linalg import (BraidedSpace, SparseOperator, SymMatrix, extend_braiding,
-                     linear_solve, matrix_to_columns, nullspace)
+                     linear_solve, matrix_to_columns, nullspace, vec_kron)
 from .ncalg import NCPoly, RelationSet
 from .scalar import ONE, Q, ZERO, Scalar
 from .uqg import CartanData, Gen, Representation, presentation_from_cartan
@@ -101,7 +101,7 @@ def adjoint_sl2():
     assign = {Gen(kind, 0): _restrict_to(rep2.actions.extended(Gen(kind, 0), 2),
                                          basis, 4)
               for kind in ("E", "F", "K")}
-    pair_basis = [_vec_kron(bi, bj, 4) for bi in basis for bj in basis]
+    pair_basis = [vec_kron(bi, bj, 4) for bi in basis for bj in basis]
     braiding = _restrict_to(extend_braiding(vector_space, 2, 2).sparse,
                             pair_basis, 16)
     # The pair basis b_i b_j is a weight basis, lowest weight first, and the
@@ -123,10 +123,6 @@ def _eigenspace(m: SymMatrix, c: Scalar) -> list[dict]:
     """Echelon basis of the c-eigenspace of a square matrix."""
     shifted = m - SymMatrix.identity(m.rows) * c
     return nullspace(matrix_to_columns(shifted.transpose()), m.rows)
-
-
-def _vec_kron(a: dict, b: dict, dim: int) -> dict:
-    return {x * dim + y: cx * cy for x, cx in a.items() for y, cy in b.items()}
 
 
 def _restrict_to(op: SparseOperator, basis: list[dict], dim: int) -> SymMatrix:

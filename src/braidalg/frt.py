@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, product
 
-from .linalg import BraidedSpace, Echelon, SparseOperator, vec_add_scaled
+from .linalg import (BraidedSpace, Echelon, SparseOperator, vec_add_scaled,
+                     vec_kron)
 from .ncalg import (NCPoly, RelationSet, complete_rewrite, hilbert,
                     word_index)
 from .report import Report
@@ -92,10 +93,8 @@ def frt_coideal_check(pres: FRTPresentation) -> Report:
     the reduced tensor (pi (x) pi) delta(r) = 0; also eps(r) = 0."""
     report = Report(f"coideal property of {len(pres.relations)} relations")
     n2 = pres.alphabet
-
-    def reduced(word) -> dict:
-        return pres.relations.span.reduce({word_index(word, n2): ONE})
-
+    # pi of each degree-2 t-word, by its flattened index
+    pi = [pres.relations.span.reduce({i: ONE}) for i in range(n2 * n2)]
     for idx, rel in enumerate(pres.relations.relations):
         eps = ZERO
         for w, c in rel.coeffs.items():
@@ -104,21 +103,10 @@ def frt_coideal_check(pres: FRTPresentation) -> Report:
         accumulated: dict = {}
         for w, c in rel.coeffs.items():
             for left, right, c2 in pres.coalgebra.delta_word(w):
-                lred = reduced(left)
-                if not lred:
-                    continue
-                rred = reduced(right)
-                if not rred:
-                    continue
-                term = c * c2
-                for li, lc in lred.items():
-                    for ri, rc in rred.items():
-                        key = (li, ri)
-                        nv = accumulated.get(key, ZERO) + term * lc * rc
-                        if nv.is_zero():
-                            accumulated.pop(key, None)
-                        else:
-                            accumulated[key] = nv
+                vec_add_scaled(accumulated,
+                               vec_kron(pi[word_index(left, n2)],
+                                        pi[word_index(right, n2)], n2 * n2),
+                               c * c2)
         report.add(f"delta(relation {idx + 1}) in rel(x)T + T(x)rel",
                    not accumulated)
     return report

@@ -190,8 +190,7 @@ class SparseOperator:
         """Kronecker product, with the index flattening of `kron`."""
         r = other.rows
         return SparseOperator(self.rows * r, (
-            {i * r + k: a * b for i, a in ca.items() for k, b in cb.items()}
-            for ca in self.columns for cb in other.columns))
+            vec_kron(ca, cb, r) for ca in self.columns for cb in other.columns))
 
     def to_matrix(self) -> SymMatrix:
         dense = [[ZERO] * len(self.columns) for _ in range(self.rows)]
@@ -239,6 +238,12 @@ def vec_add_scaled(target: dict, src: dict, c: Scalar):
             target.pop(i, None)
         else:
             target[i] = nv
+
+
+def vec_kron(a: dict, b: dict, dim: int) -> dict:
+    """The Kronecker product of sparse vectors, with the index flattening of
+    `kron`; `dim` is the dimension of b's space."""
+    return {x * dim + y: cx * cy for x, cx in a.items() for y, cy in b.items()}
 
 
 class Echelon:

@@ -70,20 +70,11 @@ class NCPoly:
         self.coeffs = c
 
     @classmethod
-    def zero(cls) -> "NCPoly":
-        return cls()
-
-    @classmethod
     def monomial(cls, word, coeff: Scalar = ONE) -> "NCPoly":
         return cls({tuple(word): coeff})
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def degree(self) -> int:
-        if not self.coeffs:
-            return -1
-        return max(len(w) for w in self.coeffs)
 
     def is_homogeneous(self, d: int | None = None) -> bool:
         lengths = {len(w) for w in self.coeffs}
@@ -167,7 +158,8 @@ class RelationSet:
 
     `names` print the generators (default x1..xn).  They must be distinct,
     non-empty and free of whitespace, so that a printed word splits back
-    into its letters; otherwise `ValueError` is raised.
+    into its letters; otherwise `ValueError` is raised, as it is for a
+    letter outside the alphabet.
     """
 
     def __init__(self, alphabet: int, relations, names=None):
@@ -184,15 +176,25 @@ class RelationSet:
         for rel in relations:
             if not rel.is_homogeneous(2):
                 raise ValueError("relations must be homogeneous of degree 2")
+            outside = sorted({letter for w in rel.coeffs for letter in w
+                              if not 0 <= letter < alphabet})
+            if outside:
+                raise ValueError(f"letters outside the alphabet: {outside}")
             self.span.insert({w[0] * alphabet + w[1]: c
                               for w, c in rel.coeffs.items()})
 
     @classmethod
     def spanned_by(cls, alphabet: int, vectors, names=None) -> "RelationSet":
         """The relation set spanned by sparse vectors over the flattened
-        degree-2 word indices."""
+        degree-2 word indices 0..alphabet**2 - 1; any other index raises
+        `ValueError`."""
         out = cls(alphabet, (), names)
+        size = alphabet * alphabet
         for vec in vectors:
+            outside = [i for i in vec if not 0 <= i < size]
+            if outside:
+                raise ValueError(f"relation vector indices outside "
+                                 f"0..{size - 1}: {outside}")
             out.span.insert(vec)
         return out
 
@@ -233,7 +235,6 @@ def relations_from_image(space, f: list[Scalar]) -> RelationSet:
 class CompletionLog:
     """What bounded completion did, per degree."""
 
-    degree_bound: int
     rules_added: dict[int, int] = field(default_factory=dict)
 
 
@@ -243,8 +244,7 @@ class RewriteSystem:
     bound.
 
     Construction is sequential; once built, normal_form and the word
-    enumerators are pure (the internal normal-form memo only ever stores
-    deterministic values, so concurrent use is safe)."""
+    enumerators leave the rules unchanged and memoize normal forms."""
 
     def __init__(self, relations: RelationSet, degree_bound: int,
                  rules: dict, log: CompletionLog):
@@ -256,7 +256,7 @@ class RewriteSystem:
         self.rules = rules
         self.log = log
         self._nf_cache: dict[Word, NCPoly] = {}
-        self._lengths = sorted({len(w) for w in rules}) if rules else []
+        self._lengths = sorted({len(w) for w in rules})
 
     def certified(self, degree: int) -> bool:
         return degree <= self.degree_bound
@@ -319,65 +319,54 @@ class RewriteSystem:
 
 
 def complete_rewrite(relations: RelationSet, max_degree: int) -> RewriteSystem:
-    """Resolve all overlap ambiguities among the oriented relations through
-    `max_degree`; unresolved overlaps become new rules of the overlap's
-    degree.  Deterministic under the declared order."""
+    """The reduced rewrite system of the quotient through `max_degree`:
+    each relation oriented as leading word -> minus the rest, plus the rules
+    that resolve every overlap ambiguity up to that degree.  Deterministic
+    under the declared order.
+
+    All rules are homogeneous, so the overlaps of degree d involve only rules
+    of lower degree, and a rule of degree d makes no overlap of degree d.
+    Each degree d is therefore one elimination: the normal forms, under the
+    rules of lower degree, of all overlap differences of degree d go into
+    one `Echelon` over words, whose lowest word is the leading word.  Each
+    pivot row is a rule lead -> -(rest of the row); fully reduced, the rows
+    are the unique reduced rules of degree d (Bergman, The diamond lemma for
+    ring theory, 1978).
+
+    The relation y x = x y + x^2 orients as x x -> y x - x y, and its
+    overlap x x x is not resolved by it, so completion adds one rule per
+    degree:
+
+    >>> rel = NCPoly({(1, 0): ONE, (0, 1): -ONE, (0, 0): -ONE})
+    >>> rs = complete_rewrite(RelationSet(2, [rel], names=["x", "y"]), 4)
+    >>> rs.log.rules_added
+    {3: 1, 4: 1}
+    >>> [word_str(w, rs.names) for w in rs.rules]
+    ['x x', 'x y x', 'x y y x']
+    """
     if max_degree < 2:
         raise ValueError("completion degree bound must be at least 2")
-    order = relations.order
     rules: dict[Word, NCPoly] = {}
     for rel in relations.relations:
-        lead = order.leading(rel.coeffs)
-        rhs = NCPoly({w: -c for w, c in rel.coeffs.items() if w != lead})
-        rules[lead] = rhs
-    log = CompletionLog(degree_bound=max_degree)
-    rs = RewriteSystem(relations, max_degree, rules, log)
-
-    def renormalize_rhs():
-        changed = True
-        while changed:
-            changed = False
-            for lead in list(rules):
-                rs._nf_cache.clear()
-                nf = rs.normal_form(rules[lead])
-                if nf.coeffs != rules[lead].coeffs:
-                    rules[lead] = nf
-                    changed = True
-        rs._nf_cache.clear()
-
+        lead = relations.order.leading(rel.coeffs)
+        rules[lead] = NCPoly({w: -c for w, c in rel.coeffs.items() if w != lead})
+    rs = RewriteSystem(relations, max_degree, rules, CompletionLog())
     for degree in range(3, max_degree + 1):
-        while True:
-            new_rules = []
-            for u in order.sorted_words(rules):
-                for v in order.sorted_words(rules):
-                    for ell in range(1, min(len(u), len(v))):
-                        if len(u) + len(v) - ell != degree:
-                            continue
-                        if u[len(u) - ell:] != v[:ell]:
-                            continue
-                        prefix = u[:len(u) - ell]
-                        suffix = v[ell:]
-                        left = rules[u] * NCPoly.monomial(suffix)
-                        right = NCPoly.monomial(prefix) * rules[v]
-                        s = rs.normal_form(left - right)
-                        if not s.is_zero():
-                            new_rules.append(s)
-            if not new_rules:
-                break
-            for s in new_rules:
-                s = rs.normal_form(s)
-                if s.is_zero():
-                    continue
-                lead = order.leading(s.coeffs)
-                rhs = (s - NCPoly.monomial(lead, s.coeffs[lead])) \
-                    .scale(-s.coeffs[lead].inverse())
-                rules[lead] = rhs
-                log.rules_added[degree] = log.rules_added.get(degree, 0) + 1
-                rs._lengths = sorted({len(w) for w in rules})
-                rs._nf_cache.clear()
-            renormalize_rhs()
-    rs._lengths = sorted({len(w) for w in rules}) if rules else []
-    rs._nf_cache.clear()
+        ech = Echelon()
+        for u, rhs_u in rules.items():
+            for v, rhs_v in rules.items():
+                ell = len(u) + len(v) - degree   # letters u and v share
+                if 0 < ell < min(len(u), len(v)) and u[-ell:] == v[:ell]:
+                    diff = (rhs_u * NCPoly.monomial(v[ell:])
+                            - NCPoly.monomial(u[:-ell]) * rhs_v)
+                    ech.insert(rs.normal_form(diff).coeffs)
+        if ech.rank:
+            for lead, row in sorted(ech.pivot_rows.items()):
+                rules[lead] = NCPoly({w: -c for w, c in row.items()
+                                      if w != lead})
+            rs.log.rules_added[degree] = ech.rank
+            rs._lengths = sorted({len(w) for w in rules})
+            rs._nf_cache.clear()
     return rs
 
 

@@ -18,9 +18,10 @@ from functools import cached_property, reduce
 from math import gcd
 
 from .linalg import (BraidedSpace, Echelon, SparseOperator, SymMatrix,
-                     combine, extend_braiding, invert)
+                     combine, extend_braiding, invert, vec_add_scaled,
+                     vec_kron)
 from .ncalg import (DegreeBoundError, NCPoly, RelationSet, RewriteSystem,
-                    vector_to_poly, word_index, word_str)
+                    Word, vector_to_poly, word_index, word_str)
 from .report import Report
 from .scalar import ONE, ZERO, Scalar, q_binomial
 
@@ -564,47 +565,26 @@ def check_ideal_preserved(rep: Representation, rels: RelationSet) -> Report:
 # --- measuring checks --------------------------------------------------------
 
 
-class _MeasuringContext:
-    """Shared engine for the measuring identity
-    sigma(c)(a a') = sum sigma(c_(1))(a) sigma(c_(2))(a'), evaluated inside
-    a quotient with all sides normal-formed."""
+def _measuring_residual(actions: ActionTable, rs: RewriteSystem, symbol,
+                        a: Word, b: Word) -> NCPoly:
+    """The normal form of sigma(c)(NF(ab)) - sum sigma(c_(1))(a) (x)
+    sigma(c_(2))(b) over the coproduct of c, built as one vector of
+    V^(x)(|a| + |b|); zero means the identity holds on this triple.  NF is
+    linear, so this is NF(LHS) - NF(RHS).
 
-    def __init__(self, actions: ActionTable, rs: RewriteSystem):
-        if actions.dim != rs.alphabet:
-            raise ValueError("matrix size must match the quotient alphabet")
-        self.actions = actions
-        self.coalg = actions.coalgebra
-        self.rs = rs
-        self.dim = actions.dim
-
-    def act_word(self, uword, target: NCPoly) -> NCPoly:
-        """Action of a word of coalgebra symbols on a quotient element: each
-        homogeneous part of the target is one vector of V^(x)k."""
-        grouped: dict = {}
-        for w, c in target.coeffs.items():
-            grouped.setdefault(len(w), {})[word_index(w, self.dim)] = c
-        out = NCPoly()
-        for k, vec in grouped.items():
-            out = out + vector_to_poly(self.actions.act(uword, vec, k),
-                                       self.dim, k)
-        return out
-
-    def measuring_residual(self, symbol, a, b):
-        """Normal-formed difference LHS - RHS for monomials a, b; zero means
-        the identity holds on this triple.
-
-        The left side acts on the normal form of the product, i.e. on the
-        quotient element itself; this is what makes the check sensitive to
-        actions that fail to preserve the ideal."""
-        product = self.rs.normal_form(NCPoly.monomial(tuple(a) + tuple(b)))
-        lhs = self.rs.normal_form(self.act_word((symbol,), product))
-        rhs = NCPoly()
-        for l, r, c in self.coalg.delta[symbol]:
-            left = self.act_word(l, NCPoly.monomial(a))
-            right = self.act_word(r, NCPoly.monomial(b))
-            rhs = rhs + (left * right).scale(c)
-        rhs = self.rs.normal_form(rhs)
-        return lhs - rhs
+    The left side acts on the normal form of the product, i.e. on the
+    quotient element itself; this is what makes the check sensitive to
+    actions that fail to preserve the ideal."""
+    n, k = actions.dim, len(a) + len(b)
+    product = rs.normal_form(NCPoly.monomial(a + b))
+    vec = actions.act((symbol,), {word_index(w, n): c for w, c
+                                  in product.coeffs.items()}, k)
+    unit_a, unit_b = {word_index(a, n): ONE}, {word_index(b, n): ONE}
+    for l, r, c in actions.coalgebra.delta[symbol]:
+        vec_add_scaled(vec, vec_kron(actions.act(l, unit_a, len(a)),
+                                     actions.act(r, unit_b, len(b)),
+                                     n ** len(b)), -c)
+    return rs.normal_form(vector_to_poly(vec, n, k))
 
 
 def _monomial_pairs(rs: RewriteSystem, max_degree: int) -> list:
@@ -623,12 +603,13 @@ def _measure(report: Report, actions: ActionTable, rs: RewriteSystem,
     if not pairs:
         raise ValueError("no monomial pairs to check; raise the degree bound "
                          "or the sample count")
-    ctx = _MeasuringContext(actions, rs)
+    if actions.dim != rs.alphabet:
+        raise ValueError("matrix size must match the quotient alphabet")
     for s in symbols:
         bad = 0
         witness = ""
         for a, b in pairs:
-            residual = ctx.measuring_residual(s, a, b)
+            residual = _measuring_residual(actions, rs, s, a, b)
             if not residual.is_zero():
                 bad += 1
                 if not witness:

@@ -1,4 +1,5 @@
-"""Test-local references for `ncalg.hilbert_oracle`.
+"""Test-local references for `ncalg.hilbert_oracle` and
+`ncalg.complete_rewrite`.
 
 `hilbert_reference` is the definition: the rank of the degree-2 relations
 placed at every position of V**d, eliminated exactly over Q(q).  It costs
@@ -12,6 +13,11 @@ to it unless q0 is a root of one of finitely many non-zero polynomials
 above and agree with them with high probability.  It uses no `Scalar`
 arithmetic and no `Echelon`: it reads only the integer coefficients of the
 relations.
+
+`completion_reference` is the fixpoint completion loop that
+`complete_rewrite` replaced: per degree, it orients each non-zero normal
+form of an overlap difference as a rule, one at a time, renormalizes every
+right-hand side, and repeats until a pass adds no rule.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ import random
 from fractions import Fraction
 
 from braidalg.linalg import Echelon
+from braidalg.ncalg import CompletionLog, NCPoly, RewriteSystem
 
 P = 2 ** 61 - 1
 
@@ -50,6 +57,58 @@ def modular_hilbert(relations, max_degree: int, seed: int) -> list[int]:
         rel_vecs.append({i: v for i, v in vec.items() if v})
     return [n ** d - _modular_rank(_placed(rel_vecs, n, d)) if d >= 2 else n ** d
             for d in range(max_degree + 1)]
+
+
+def completion_reference(relations, max_degree: int):
+    """(rules, rules added per degree) of the fixpoint completion through
+    `max_degree`.  Normal forms come from a `RewriteSystem` rebuilt, with an
+    empty memo, whenever a rule changes."""
+    order = relations.order
+    rules = {}
+    for rel in relations.relations:
+        lead = order.leading(rel.coeffs)
+        rules[lead] = NCPoly({w: -c for w, c in rel.coeffs.items() if w != lead})
+    added: dict[int, int] = {}
+
+    def current():
+        return RewriteSystem(relations, max_degree, rules, CompletionLog())
+
+    rs = current()
+    for degree in range(3, max_degree + 1):
+        while True:
+            new_rules = []
+            for u in order.sorted_words(rules):
+                for v in order.sorted_words(rules):
+                    for ell in range(1, min(len(u), len(v))):
+                        if (len(u) + len(v) - ell != degree
+                                or u[len(u) - ell:] != v[:ell]):
+                            continue
+                        left = rules[u] * NCPoly.monomial(v[ell:])
+                        right = NCPoly.monomial(u[:len(u) - ell]) * rules[v]
+                        s = rs.normal_form(left - right)
+                        if not s.is_zero():
+                            new_rules.append(s)
+            if not new_rules:
+                break
+            for s in new_rules:
+                s = rs.normal_form(s)
+                if s.is_zero():
+                    continue
+                lead = order.leading(s.coeffs)
+                rules[lead] = (s - NCPoly.monomial(lead, s.coeffs[lead])) \
+                    .scale(-s.coeffs[lead].inverse())
+                added[degree] = added.get(degree, 0) + 1
+                rs = current()
+            changed = True
+            while changed:
+                changed = False
+                for lead in list(rules):
+                    nf = current().normal_form(rules[lead])
+                    if nf != rules[lead]:
+                        rules[lead] = nf
+                        changed = True
+            rs = current()
+    return rules, added
 
 
 def _placed(rel_vecs, n: int, d: int):

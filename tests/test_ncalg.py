@@ -63,6 +63,18 @@ def test_relation_set_refuses_names_that_do_not_read_back():
     assert RelationSet(2, [rel], names=["a", "b"]).render() == ["a b = q*b a"]
 
 
+def test_relation_set_refuses_out_of_range_input():
+    with pytest.raises(ValueError, match=r"outside 0\.\.3: \[5\]"):
+        RelationSet.spanned_by(2, [{5: ONE}])
+    with pytest.raises(ValueError, match=r"outside 0\.\.3: \[-1\]"):
+        RelationSet.spanned_by(2, [{0: ONE}, {-1: ONE}])
+    with pytest.raises(ValueError, match=r"outside the alphabet: \[3\]"):
+        RelationSet(2, [NCPoly({(0, 3): ONE})])
+    assert RelationSet.spanned_by(2, [{0: ONE, 3: Q}]).render() == \
+        ["x1 x1 = -q*x2 x2"]
+    assert RelationSet(2, [NCPoly({(1, 1): ONE})]).render() == ["x2 x2 = 0"]
+
+
 def test_complete_rewrite_sym_sl2_is_quadratic_confluent(sl2):
     _, space = sl2
     rels = relations_from_image(space, parse_poly("x - q"))

@@ -241,6 +241,33 @@ def test_check_measuring_seeded_sampling(sl2):
     assert "sample" in first.notes[0]
 
 
+def test_measuring_reports_pin_their_residuals(sl2):
+    # E1 with its (1, 1) entry set to 1 breaks the measuring identity on the
+    # q-symmetric quotient; the Leibniz rule fails on the exterior one
+    rep, space = sl2
+    assign = dict(rep.assign)
+    entries = [list(row) for row in assign[Gen("E", 0)].entries]
+    entries[0][0] = ONE
+    assign[Gen("E", 0)] = SymMatrix(entries)
+    bad = Representation(rep.presentation, assign, name="perturbed")
+    rs = complete_rewrite(relations_from_image(space, parse_poly("x - q")), 3)
+    report = check_measuring(bad, rs, max_degree=3)
+    assert [(i.name, i.passed, i.detail) for i in report.items] == [
+        ("E1 measures (35 pairs)", False, "5 counterexamples; first: "
+                                          "a=x1 b=x2 residual=(-q^2 + q)*x2 x1"),
+        ("F1 measures (35 pairs)", True, ""),
+        ("K1 measures (35 pairs)", True, ""),
+        ("K1^-1 measures (35 pairs)", True, "")]
+    ext = complete_rewrite(relations_from_image(space, parse_poly("x + q^-1")), 4)
+    report = check_derivation_measuring(sl2_lie_actions(), ext, max_degree=4)
+    assert [(i.name, i.passed, i.detail) for i in report.items] == [
+        ("X1 acts by derivations (16 pairs)", False,
+         "1 counterexamples; first: a=x2 b=x2"),
+        ("X2 acts by derivations (16 pairs)", False,
+         "1 counterexamples; first: a=x1 b=x1"),
+        ("X3 acts by derivations (16 pairs)", True, "")]
+
+
 def test_check_measuring_detects_swapped_coproduct(sl2):
     rep, space = sl2
     pres = rep.presentation
@@ -396,6 +423,14 @@ def test_ideal_checks_refuse_a_mismatched_alphabet(sl2, sl3):
         rs = complete_rewrite(rels, 2)
         with pytest.raises(ValueError, match="alphabet sizes differ"):
             act_on_quotient(rep, rs, Gen("E", 0), (0, 0))
+
+
+def test_measuring_checks_refuse_a_mismatched_alphabet(sl2, sl3):
+    rs = complete_rewrite(relations_from_image(sl2[1], parse_poly("x - q")), 3)
+    with pytest.raises(ValueError, match="must match the quotient alphabet"):
+        check_measuring(sl3[0], rs, max_degree=2)
+    with pytest.raises(ValueError, match="must match the quotient alphabet"):
+        check_derivation_measuring([SymMatrix.identity(3)], rs, max_degree=2)
 
 
 def test_antipode_identity_detects_sign_flip(sl2):

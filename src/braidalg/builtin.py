@@ -7,8 +7,8 @@ derived by cabling the vector braiding.
 
 from __future__ import annotations
 
-from .linalg import (BraidedSpace, SparseOperator, SymMatrix, extend_braiding,
-                     linear_solve, matrix_to_columns, nullspace, vec_kron)
+from .linalg import (BraidedSpace, SymMatrix, extend_braiding, linear_solve,
+                     nullspace, vec_kron)
 from .ncalg import NCPoly, RelationSet
 from .scalar import ONE, Q, ZERO, Scalar
 from .uqg import CartanData, Gen, Representation, presentation_from_cartan
@@ -102,7 +102,7 @@ def adjoint_sl2():
                                          basis, 4)
               for kind in ("E", "F", "K")}
     pair_basis = [vec_kron(bi, bj, 4) for bi in basis for bj in basis]
-    braiding = _restrict_to(extend_braiding(vector_space, 2, 2).sparse,
+    braiding = _restrict_to(extend_braiding(vector_space, 2, 2).operator,
                             pair_basis, 16)
     # The pair basis b_i b_j is a weight basis, lowest weight first, and the
     # braiding keeps weights and is one scalar on each summand of
@@ -122,10 +122,10 @@ def adjoint_sl2():
 def _eigenspace(m: SymMatrix, c: Scalar) -> list[dict]:
     """Echelon basis of the c-eigenspace of a square matrix."""
     shifted = m - SymMatrix.identity(m.rows) * c
-    return nullspace(matrix_to_columns(shifted.transpose()), m.rows)
+    return nullspace(shifted.transpose().columns, m.rows)
 
 
-def _restrict_to(op: SparseOperator, basis: list[dict], dim: int) -> SymMatrix:
+def _restrict_to(op: SymMatrix, basis: list[dict], dim: int) -> SymMatrix:
     """Express the action of `op` on span(basis) in that basis; raises if
     the span is not invariant."""
     cols = []
@@ -133,9 +133,8 @@ def _restrict_to(op: SparseOperator, basis: list[dict], dim: int) -> SymMatrix:
         coeffs = linear_solve(basis, op.apply(vec), dim)
         if coeffs is None:
             raise AssertionError("subspace is not invariant under the operator")
-        cols.append(coeffs)
-    size = len(basis)
-    return SymMatrix([[cols[j][i] for j in range(size)] for i in range(size)])
+        cols.append({i: c for i, c in enumerate(coeffs) if not c.is_zero()})
+    return SymMatrix.from_columns(len(basis), cols)
 
 
 def resolve_builtin(spec: str):

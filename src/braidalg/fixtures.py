@@ -58,7 +58,9 @@ def braiding_from_fixture(doc: dict) -> SymMatrix:
     if doc.get("kind") != "rmatrix":
         raise FixtureError("expected an rmatrix fixture")
     dim = doc.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    # `type(x) is int`, not isinstance: JSON true and false are Python bools,
+    # and bool is a subclass of int
+    if type(dim) is not int or dim < 1:
         raise FixtureError("rmatrix fixture needs a positive integer 'dim'")
     form = doc.get("form", "braiding")
     if form not in ("braiding", "rtt"):
@@ -83,13 +85,20 @@ def representation_from_fixture(doc: dict):
     cartan_doc = doc.get("cartan")
     if not isinstance(cartan_doc, dict) or "matrix" not in cartan_doc:
         raise FixtureError("representation fixture needs cartan.matrix")
+    matrix, d = cartan_doc["matrix"], cartan_doc.get("d")
+    if not isinstance(matrix, list) or any(
+            not isinstance(row, list) or any(type(x) is not int for x in row)
+            for row in matrix):
+        raise FixtureError("cartan.matrix must be a list of rows of integers")
+    if d is not None and (not isinstance(d, list)
+                          or any(type(x) is not int for x in d)):
+        raise FixtureError("cartan.d must be a list of integers")
     try:
-        cartan = CartanData.from_matrix(cartan_doc["matrix"],
-                                        cartan_doc.get("d"))
+        cartan = CartanData.from_matrix(matrix, d)
     except (TypeError, ValueError) as exc:
         raise FixtureError(f"invalid Cartan data: {exc}") from exc
     dim = doc.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:
         raise FixtureError("representation fixture needs a positive 'dim'")
     gens_doc = doc.get("generators")
     if not isinstance(gens_doc, dict):
@@ -125,7 +134,7 @@ def relations_from_fixture(doc: dict) -> RelationSet:
     if doc.get("kind") != "relations":
         raise FixtureError("expected a relations fixture")
     alphabet = doc.get("alphabet")
-    if not isinstance(alphabet, int) or alphabet < 1:
+    if type(alphabet) is not int or alphabet < 1:
         raise FixtureError("relations fixture needs a positive 'alphabet'")
     rel_docs = doc.get("relations")
     if not isinstance(rel_docs, list):
@@ -141,7 +150,7 @@ def relations_from_fixture(doc: dict) -> RelationSet:
                     f"relation {ridx}: terms need 'word' and 'coeff'")
             word = term["word"]
             if (not isinstance(word, list)
-                    or any(not isinstance(i, int) or not 1 <= i <= alphabet
+                    or any(type(i) is not int or not 1 <= i <= alphabet
                            for i in word)):
                 raise FixtureError(
                     f"relation {ridx}: words are lists of 1-based indices")

@@ -14,9 +14,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, product
+from itertools import product
 
-from .linalg import (BraidedSpace, Echelon, SparseOperator, vec_add_scaled,
+from .linalg import (BraidedSpace, Echelon, SymMatrix, kron, vec_add_scaled,
                      vec_kron)
 from .ncalg import (NCPoly, RelationSet, complete_rewrite, hilbert,
                     word_index)
@@ -70,9 +70,9 @@ def frt_relations(space: BraidedSpace) -> FRTPresentation:
     """
     n = space.dim
     n2 = n * n
-    ident = SparseOperator.identity(n2)
-    a = SparseOperator.from_matrix(space.braiding.transpose()).kron(ident)
-    b = ident.kron(space.psi)
+    ident = SymMatrix.identity(n2)
+    a = kron(space.braiding.transpose(), ident)
+    b = kron(ident, space.braiding)
     # column p of tau K tau is column tau(p) of K with its rows moved by tau
     tau = _middle_swap(n)
     columns = []
@@ -150,14 +150,7 @@ class PairingTable:
     def pair(self, u_word, t_word) -> Scalar:
         """<u, t_{i1 j1} ... t_{ik jk}>: entry (i-vector, j-vector) of the
         action of u on V^(x)k."""
-        n = self.n
-        row = col = 0
-        for letter in t_word:
-            if not 0 <= letter < n * n:
-                raise ValueError(f"unknown t-generator index {letter}")
-            a, b = divmod(letter, n)
-            row = row * n + a
-            col = col * n + b
+        row, col = _entry_index(t_word, self.n)
         return self.column(tuple(u_word), len(t_word), col).get(row, ZERO)
 
     def pair_poly(self, u_word, p: NCPoly) -> Scalar:
@@ -165,6 +158,19 @@ class PairingTable:
         for w, c in p.coeffs.items():
             out = out + self.pair(u_word, w) * c
         return out
+
+
+def _entry_index(t_word, n: int) -> tuple[int, int]:
+    """(i-vector, j-vector) of t_{i1 j1} ... t_{ik jk}, each flattened to an
+    index of V^(x)k: the entry of an action that the t-word pairs with."""
+    row = col = 0
+    for letter in t_word:
+        if not 0 <= letter < n * n:
+            raise ValueError(f"unknown t-generator index {letter}")
+        a, b = divmod(letter, n)
+        row = row * n + a
+        col = col * n + b
+    return row, col
 
 
 def pairing(rep: Representation, u_word, t_word) -> Scalar:
@@ -206,6 +212,27 @@ def action_span_basis(table: PairingTable, max_degree: int):
         layer = [(g,) + u for u in grew for g in gens]
 
 
+def _word_operators(rep: Representation, max_degree: int):
+    """Yield (u, X_u), X_u the action of u on V (x) V, for every generator
+    word u with |u| <= max_degree: shorter words first, then in
+    `itertools.product` order.  Only prefix[i] = prefix[i - 1] . X_{u_i}
+    for the current word u is kept; the next word reuses the prefix it
+    shares with u."""
+    gens = rep.presentation.generators
+    ident = SymMatrix.identity(rep.dim ** 2)
+    for length in range(max_degree + 1):
+        prefix, previous = [ident], ()
+        for u in product(gens, repeat=length):
+            keep = 0
+            while keep < len(previous) - 1 and u[keep] == previous[keep]:
+                keep += 1
+            del prefix[keep + 1:]
+            for g in u[keep:]:
+                prefix.append(prefix[-1] * rep.actions.extended(g, 2))
+            previous = u
+            yield u, prefix[-1]
+
+
 def check_duality(rep: Representation, space: BraidedSpace,
                   max_degree: int = 3, samples: int = 200,
                   seed: int = 0) -> Report:
@@ -216,8 +243,9 @@ def check_duality(rep: Representation, space: BraidedSpace,
 
     Annihilation is certified on the words of `action_span_basis`; only if
     one of them pairs to non-zero are all words enumerated, to count the
-    failures.  A degree bound or sample count below 1, or an empty relation
-    set, is refused: the check would then cover nothing."""
+    failures, with the operators of `_word_operators`.  A degree bound or
+    sample count below 1, or an empty relation set, is refused: the check
+    would then cover nothing."""
     if max_degree < 1:
         raise ValueError(f"duality check needs max_degree >= 1, got {max_degree}")
     if samples < 1:
@@ -239,11 +267,14 @@ def check_duality(rep: Representation, space: BraidedSpace,
                for rel in relations):
         # recount over every word, in the order of increasing length, so the
         # failure count and the first witness are those of the full check
-        words = chain.from_iterable(product(gens, repeat=length)
-                                    for length in range(max_degree + 1))
-        for u in words:
-            for idx, rel in enumerate(relations):
-                pairing_value = table.pair_poly(u, rel)
+        positions = [[(_entry_index(w, space.dim), c)
+                      for w, c in rel.coeffs.items()] for rel in relations]
+        for u, op in _word_operators(rep, max_degree):
+            for idx, terms in enumerate(positions):
+                pairing_value = ZERO
+                for (row, col), c in terms:
+                    pairing_value = (pairing_value
+                                     + op.columns[col].get(row, ZERO) * c)
                 if not pairing_value.is_zero():
                     bad += 1
                     if not witness:

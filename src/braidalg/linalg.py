@@ -1,16 +1,21 @@
-"""Dense symbolic matrices and column-sparse operators over Q(q), Kronecker
-products with the row-major index convention (the first tensor factor is
-most significant), braid-equation and minimal-polynomial checks, extension
-of a braiding to tensor powers, and deterministic echelon/null-space
-solvers.
+"""Matrices over Q(q) stored by columns, Kronecker products with the
+row-major index convention (the first tensor factor is most significant),
+braid-equation and minimal-polynomial checks, extension of a braiding to
+tensor powers, and deterministic echelon/null-space solvers.
 
-Matrices and operators are never mutated after construction; every
-operation is a pure function.
+`SymMatrix` is the one matrix type: generator matrices, braidings and the
+operators on tensor powers V^(x)k alike.  Products, sums and Kronecker
+products work column by column, so their cost follows the non-zero entries,
+not the dense size; the dense rows (`entries`) are a view built on request.
+
+Matrices are never mutated after construction; every operation is a pure
+function.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .scalar import ONE, ZERO, Scalar
 
@@ -20,84 +25,107 @@ class BraidEquationError(ValueError):
 
 
 class SymMatrix:
-    """An immutable dense matrix with Scalar entries."""
+    """An immutable matrix with Scalar entries, stored by columns:
+    `columns[j]` is the image of the j-th basis vector as a dict
+    {row: Scalar} with no zero entries.
 
-    __slots__ = ("rows", "cols", "entries", "_hash")
+    `SymMatrix(rows)` validates a dense list of rows (outside input);
+    `from_columns` is the internal constructor and trusts its columns."""
+
+    __slots__ = ("rows", "cols", "columns")
 
     def __init__(self, entries):
         rows = tuple(tuple(row) for row in entries)
         if not rows or not rows[0]:
             raise ValueError("matrix must be non-empty")
         cols = len(rows[0])
-        for row in rows:
+        columns: list[dict] = [{} for _ in range(cols)]
+        for i, row in enumerate(rows):
             if len(row) != cols:
                 raise ValueError("ragged matrix rows")
-            for e in row:
+            for j, e in enumerate(row):
                 if not isinstance(e, Scalar):
                     raise TypeError("matrix entries must be Scalar")
+                if not e.is_zero():
+                    columns[j][i] = e
         self.rows = len(rows)
         self.cols = cols
-        self.entries = rows
-        self._hash = None
+        self.columns = columns
+
+    @classmethod
+    def from_columns(cls, rows: int, columns) -> "SymMatrix":
+        """The matrix with `rows` rows and the given column dicts, which must
+        hold no zero entry and no row index outside 0..rows-1."""
+        m = cls.__new__(cls)
+        m.rows = rows
+        m.columns = list(columns)
+        m.cols = len(m.columns)
+        return m
 
     @classmethod
     def identity(cls, n: int) -> "SymMatrix":
-        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+        return cls.from_columns(n, ({j: ONE} for j in range(n)))
 
     @classmethod
     def zeros(cls, rows: int, cols: int | None = None) -> "SymMatrix":
         cols = rows if cols is None else cols
-        return cls([[ZERO] * cols for _ in range(rows)])
+        return cls.from_columns(rows, ({} for _ in range(cols)))
 
     @classmethod
     def unit(cls, n: int, i: int, j: int) -> "SymMatrix":
         """The matrix e_{i,j} (0-based) with a single 1 entry."""
-        return cls([[ONE if (r, c) == (i, j) else ZERO for c in range(n)] for r in range(n)])
+        return cls.from_columns(n, ({i: ONE} if c == j else {}
+                                    for c in range(n)))
 
     @classmethod
     def from_diagonal(cls, diag) -> "SymMatrix":
         diag = list(diag)
-        n = len(diag)
-        return cls([[diag[i] if i == j else ZERO for j in range(n)] for i in range(n)])
+        return cls.from_columns(len(diag), ({} if d.is_zero() else {j: d}
+                                            for j, d in enumerate(diag)))
+
+    @property
+    def entries(self) -> tuple:
+        """The dense view: a tuple of rows."""
+        dense = [[ZERO] * self.cols for _ in range(self.rows)]
+        for j, col in enumerate(self.columns):
+            for i, v in col.items():
+                dense[i][j] = v
+        return tuple(map(tuple, dense))
 
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.entries for e in row)
+        return not any(self.columns)
+
+    def apply(self, vec: dict) -> dict:
+        """The image of a sparse column vector {index: Scalar}."""
+        out: dict = {}
+        for j, v in vec.items():
+            vec_add_scaled(out, self.columns[j], v)
+        return out
 
     def __add__(self, other: "SymMatrix") -> "SymMatrix":
         self._check_shape(other)
-        return SymMatrix([[a + b for a, b in zip(ra, rb)]
-                          for ra, rb in zip(self.entries, other.entries)])
+        return combine(self.rows, self.cols, ((self, ONE), (other, ONE)))
 
     def __sub__(self, other: "SymMatrix") -> "SymMatrix":
         self._check_shape(other)
-        return SymMatrix([[a - b for a, b in zip(ra, rb)]
-                          for ra, rb in zip(self.entries, other.entries)])
+        return combine(self.rows, self.cols, ((self, ONE), (other, -ONE)))
 
     def __neg__(self) -> "SymMatrix":
-        return SymMatrix([[-a for a in row] for row in self.entries])
+        return combine(self.rows, self.cols, ((self, -ONE),))
 
     def __mul__(self, other):
+        """The product self . other (self after other), or self scaled."""
         if isinstance(other, SymMatrix):
             if self.cols != other.rows:
                 raise ValueError(f"dimension mismatch: {self.cols} vs {other.rows}")
-            b = other.entries
-            out = []
-            for i in range(self.rows):
-                acc = [ZERO] * other.cols
-                for j, a in enumerate(self.entries[i]):
-                    if a.is_zero():
-                        continue
-                    for k, v in enumerate(b[j]):
-                        if not v.is_zero():
-                            acc[k] = acc[k] + a * v
-                out.append(acc)
-            return SymMatrix(out)
+            return SymMatrix.from_columns(self.rows,
+                                          map(self.apply, other.columns))
         if isinstance(other, (Scalar, int)):
             s = other if isinstance(other, Scalar) else Scalar.from_int(other)
-            return SymMatrix([[a * s for a in row] for row in self.entries])
+            return combine(self.rows, self.cols, ((self, s),))
         return NotImplemented
 
     def __rmul__(self, other):
@@ -106,17 +134,15 @@ class SymMatrix:
         return NotImplemented
 
     def transpose(self) -> "SymMatrix":
-        return SymMatrix([[self.entries[i][j] for i in range(self.rows)]
-                          for j in range(self.cols)])
+        cols: list[dict] = [{} for _ in range(self.rows)]
+        for j, col in enumerate(self.columns):
+            for i, v in col.items():
+                cols[i][j] = v
+        return SymMatrix.from_columns(self.cols, cols)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, SymMatrix) and self.rows == other.rows
-                and self.cols == other.cols and self.entries == other.entries)
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(self.entries)
-        return self._hash
+                and self.cols == other.cols and self.columns == other.columns)
 
     def __str__(self) -> str:
         return "\n".join("[" + ", ".join(str(e) for e in row) + "]" for row in self.entries)
@@ -131,97 +157,28 @@ class SymMatrix:
 
 def kron(a: SymMatrix, b: SymMatrix) -> SymMatrix:
     """Kronecker product with (i1, i2) -> i1*dim2 + i2 index flattening."""
-    out = []
-    for i1 in range(a.rows):
-        arow = a.entries[i1]
-        for i2 in range(b.rows):
-            brow = b.entries[i2]
-            row = []
-            for j1 in range(a.cols):
-                av = arow[j1]
-                if av.is_zero():
-                    row.extend([ZERO] * b.cols)
-                else:
-                    row.extend(av * bv for bv in brow)
-            out.append(row)
-    return SymMatrix(out)
+    r = b.rows
+    return SymMatrix.from_columns(a.rows * r, (
+        vec_kron(ca, cb, r) for ca in a.columns for cb in b.columns))
 
 
 def kron_all(mats) -> SymMatrix:
-    mats = list(mats)
-    out = mats[0]
-    for m in mats[1:]:
-        out = kron(out, m)
-    return out
+    return reduce(kron, mats)
 
 
-class SparseOperator:
-    """A linear map stored by columns: `columns[j]` is the image of the j-th
-    basis vector as a dict {row: Scalar} with no zero entries.  Operators on
-    tensor powers are built, composed and applied column by column, so the
-    work follows the non-zero entries, not the dense size."""
-
-    __slots__ = ("rows", "columns")
-
-    def __init__(self, rows: int, columns):
-        self.rows = rows
-        self.columns = list(columns)
-
-    @classmethod
-    def from_matrix(cls, m: SymMatrix) -> "SparseOperator":
-        return cls(m.rows, matrix_to_columns(m))
-
-    @classmethod
-    def identity(cls, n: int) -> "SparseOperator":
-        return cls(n, ({j: ONE} for j in range(n)))
-
-    def apply(self, vec: dict) -> dict:
-        """The image of a sparse column vector {index: Scalar}."""
-        out: dict = {}
-        for j, v in vec.items():
-            vec_add_scaled(out, self.columns[j], v)
-        return out
-
-    def compose(self, other: "SparseOperator") -> "SparseOperator":
-        """self after other."""
-        return SparseOperator(self.rows, map(self.apply, other.columns))
-
-    def kron(self, other: "SparseOperator") -> "SparseOperator":
-        """Kronecker product, with the index flattening of `kron`."""
-        r = other.rows
-        return SparseOperator(self.rows * r, (
-            vec_kron(ca, cb, r) for ca in self.columns for cb in other.columns))
-
-    def to_matrix(self) -> SymMatrix:
-        dense = [[ZERO] * len(self.columns) for _ in range(self.rows)]
-        for j, col in enumerate(self.columns):
-            for i, v in col.items():
-                dense[i][j] = v
-        return SymMatrix(dense)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, SparseOperator) and self.rows == other.rows
-                and self.columns == other.columns)
-
-
-def combine(rows: int, size: int, terms) -> SparseOperator:
-    """sum c * op over the (op, c) pairs in `terms`, each with `size`
-    columns."""
-    cols: list[dict] = [{} for _ in range(size)]
-    for op, c in terms:
-        for acc, col in zip(cols, op.columns):
-            vec_add_scaled(acc, col, c)
-    return SparseOperator(rows, cols)
+def combine(rows: int, cols: int, terms) -> SymMatrix:
+    """sum c * m over the (m, c) pairs in `terms`, each rows x cols."""
+    acc: list[dict] = [{} for _ in range(cols)]
+    for m, c in terms:
+        for target, col in zip(acc, m.columns):
+            vec_add_scaled(target, col, c)
+    return SymMatrix.from_columns(rows, acc)
 
 
 def flip_matrix(n: int) -> SymMatrix:
     """The flip v_i (x) v_j -> v_j (x) v_i on an n-dimensional space."""
-    size = n * n
-    rows = [[ZERO] * size for _ in range(size)]
-    for i in range(n):
-        for j in range(n):
-            rows[j * n + i][i * n + j] = ONE
-    return SymMatrix(rows)
+    return SymMatrix.from_columns(n * n, ({j * n + i: ONE} for i in range(n)
+                                          for j in range(n)))
 
 
 # --- sparse echelon machinery -----------------------------------------------
@@ -291,13 +248,6 @@ class Echelon:
         return [self.pivot_rows[p] for p in sorted(self.pivot_rows)]
 
 
-def echelon_basis(vectors) -> list[dict]:
-    ech = Echelon()
-    for v in vectors:
-        ech.insert(v)
-    return ech.basis()
-
-
 def linear_solve(basis: list[dict], target: dict, dim: int) -> list[Scalar] | None:
     """Coefficients c with target = sum c_i * basis_i, or None.  `dim` must
     exceed every index used in the vectors."""
@@ -333,43 +283,30 @@ def nullspace(rows: list[dict], nvars: int) -> list[dict]:
     return out
 
 
-def matrix_to_columns(m: SymMatrix) -> list[dict]:
-    cols: list[dict] = [{} for _ in range(m.cols)]
-    for i, row in enumerate(m.entries):
-        for j, v in enumerate(row):
-            if not v.is_zero():
-                cols[j][i] = v
-    return cols
-
-
-def vec_to_tuple(vec: dict, dim: int) -> tuple:
-    return tuple(vec.get(i, ZERO) for i in range(dim))
-
-
 def invert(m: SymMatrix) -> SymMatrix | None:
     """Inverse via augmented elimination; None when singular."""
     if not m.is_square():
         raise ValueError("inverse of a non-square matrix")
     n = m.rows
     ech = Echelon()
-    for j, col in enumerate(matrix_to_columns(m)):
+    for j, col in enumerate(m.columns):
         aug = dict(col)
         aug[n + j] = ONE
         ech.insert(aug)
     if any(p >= n for p in ech.pivot_rows) or len(ech.pivot_rows) < n:
         return None
     # pivot row p reads e_p = M . tail_p, so tail_p is column p of the inverse
-    inv_cols = []
-    for p in range(n):
-        row = ech.pivot_rows[p]
-        inv_cols.append([row.get(n + j, ZERO) for j in range(n)])
-    return SymMatrix([[inv_cols[p][j] for p in range(n)] for j in range(n)])
+    return SymMatrix.from_columns(n, (
+        {i - n: v for i, v in ech.pivot_rows[p].items() if i >= n}
+        for p in range(n)))
 
 
 def image_subspace(m: SymMatrix) -> list[tuple]:
     """Echelonized basis of the column space, lowest-index pivots first."""
-    basis = echelon_basis(matrix_to_columns(m))
-    return [vec_to_tuple(v, m.rows) for v in basis]
+    ech = Echelon()
+    for col in m.columns:
+        ech.insert(col)
+    return [tuple(v.get(i, ZERO) for i in range(m.rows)) for v in ech.basis()]
 
 
 def solve_commutant(actions: list[SymMatrix]) -> list[SymMatrix]:
@@ -382,25 +319,20 @@ def solve_commutant(actions: list[SymMatrix]) -> list[SymMatrix]:
             raise ValueError("actions must be square matrices of equal size")
     rows = []
     for a in actions:
-        e = a.entries
+        # row i of A is column i of its transpose
+        a_rows = a.transpose().columns
         for i in range(s):
             for j in range(s):
-                row: dict = {}
-                for k in range(s):
-                    # (M A - A M)[i][j] = sum_k M[i,k] A[k,j] - A[i,k] M[k,j]
-                    c = e[k][j]
-                    if not c.is_zero():
-                        vec_add_scaled(row, {i * s + k: ONE}, c)
-                    c = e[i][k]
-                    if not c.is_zero():
-                        vec_add_scaled(row, {k * s + j: ONE}, -c)
+                # (M A - A M)[i][j] = sum_k M[i,k] A[k,j] - A[i,k] M[k,j]
+                row = {i * s + k: c for k, c in a.columns[j].items()}
+                vec_add_scaled(row, {k * s + j: c for k, c
+                                     in a_rows[i].items()}, -ONE)
                 if row:
                     rows.append(row)
-    out = []
-    for vec in nullspace(rows, s * s):
-        out.append(SymMatrix([[vec.get(i * s + j, ZERO) for j in range(s)]
-                              for i in range(s)]))
-    return out
+    return [SymMatrix.from_columns(s, ({i: vec[i * s + j] for i in range(s)
+                                        if i * s + j in vec}
+                                       for j in range(s)))
+            for vec in nullspace(rows, s * s)]
 
 
 def minimal_poly(m: SymMatrix) -> list[Scalar]:
@@ -412,8 +344,8 @@ def minimal_poly(m: SymMatrix) -> list[Scalar]:
     dim = n * n
 
     def flatten(mat: SymMatrix) -> dict:
-        return {i * n + j: v for i, row in enumerate(mat.entries)
-                for j, v in enumerate(row) if not v.is_zero()}
+        return {i * n + j: v for j, col in enumerate(mat.columns)
+                for i, v in col.items()}
 
     powers = [SymMatrix.identity(n)]
     vecs = [flatten(powers[0])]
@@ -460,15 +392,12 @@ def check_braid(op: SymMatrix) -> BraidCheck:
     symbolically on the triple tensor power."""
     if not op.is_square():
         raise ValueError("braid operator must be square")
-    return _braid_check(SparseOperator.from_matrix(op), _int_sqrt(op.rows))
-
-
-def _braid_check(x: SparseOperator, n: int) -> BraidCheck:
-    ident = SparseOperator.identity(n)
-    a = x.kron(ident)
-    b = ident.kron(x)
-    lhs = b.compose(a).compose(b)
-    rhs = a.compose(b).compose(a)
+    n = _int_sqrt(op.rows)
+    ident = SymMatrix.identity(n)
+    a = kron(op, ident)
+    b = kron(ident, op)
+    lhs = b * a * b
+    rhs = a * b * a
     for col, (left, right) in enumerate(zip(lhs.columns, rhs.columns)):
         if left != right:
             i, rem = divmod(col, n * n)
@@ -491,13 +420,11 @@ class BraidedSpace:
     quadratic-relations construction on V* (x) V, and `braiding`, the
     operator that satisfies the braid equation of a braided algebra and
     commutes with coproduct actions.  The two are related by composition
-    with the flip: braiding = rtt . flip.  `psi` is the braiding as a
-    `SparseOperator`, the form that operator algebra on tensor powers
-    uses.  Both the braid equation and invertibility are verified at
-    construction.
+    with the flip: braiding = rtt . flip.  Both the braid equation and
+    invertibility are verified at construction.
     """
 
-    __slots__ = ("dim", "rtt", "braiding", "psi", "braiding_inverse")
+    __slots__ = ("dim", "rtt", "braiding", "braiding_inverse")
 
     def __init__(self, rtt: SymMatrix):
         n = _int_sqrt(rtt.rows)
@@ -506,8 +433,7 @@ class BraidedSpace:
         self.dim = n
         self.rtt = rtt
         self.braiding = rtt * flip_matrix(n)
-        self.psi = SparseOperator.from_matrix(self.braiding)
-        check = _braid_check(self.psi, n)
+        check = check_braid(self.braiding)
         if not check.holds:
             raise BraidEquationError(check.describe(n))
         inv = invert(self.braiding)
@@ -526,17 +452,12 @@ class BraidedSpace:
 
 @dataclass(frozen=True)
 class BraidingExtension:
-    """The operator that moves the first m tensor factors past the last n,
-    kept sparse; `operator` is its dense view."""
+    """The operator that moves the first m tensor factors past the last n."""
 
     space: BraidedSpace
     m: int
     n: int
-    sparse: SparseOperator
-
-    @property
-    def operator(self) -> SymMatrix:
-        return self.sparse.to_matrix()
+    operator: SymMatrix
 
 
 def extend_braiding(space: BraidedSpace, m: int, n: int,
@@ -560,10 +481,10 @@ def extend_braiding(space: BraidedSpace, m: int, n: int,
     if m < 0 or n < 0:
         raise ValueError("degrees must be non-negative")
     d, total = space.dim, m + n
-    op = SparseOperator.identity(d ** total)
+    op = SymMatrix.identity(d ** total)
     for p in positions:
         # the braiding on the adjacent factors (p, p + 1), 1-based
-        crossing = (SparseOperator.identity(d ** (p - 1)).kron(space.psi)
-                    .kron(SparseOperator.identity(d ** (total - p - 1))))
-        op = crossing.compose(op)
+        crossing = kron_all((SymMatrix.identity(d ** (p - 1)), space.braiding,
+                             SymMatrix.identity(d ** (total - p - 1))))
+        op = crossing * op
     return BraidingExtension(space, m, n, op)

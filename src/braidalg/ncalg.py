@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .linalg import Echelon, SparseOperator, combine, vec_add_scaled
+from .linalg import Echelon, SymMatrix, combine, vec_add_scaled
 from .scalar import ONE, ZERO, Scalar, join_terms
 
 Word = tuple
@@ -220,12 +220,12 @@ class RelationSet:
 def relations_from_image(space, f: list[Scalar]) -> RelationSet:
     """The relations spanning f(braiding)(V (x) V), in x_1..x_n.  `f` is
     given by ascending coefficients."""
-    psi = space.psi
-    power = SparseOperator.identity(psi.rows)
+    psi = space.braiding
+    power = SymMatrix.identity(psi.rows)
     terms = []
     for k, c in enumerate(f):
         if k:
-            power = psi.compose(power)
+            power = psi * power
         terms.append((power, c))
     image = combine(psi.rows, psi.rows, terms)
     return RelationSet.spanned_by(space.dim, image.columns)

@@ -17,9 +17,8 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from math import gcd
 
-from .linalg import (BraidedSpace, Echelon, SparseOperator, SymMatrix,
-                     combine, extend_braiding, invert, vec_add_scaled,
-                     vec_kron)
+from .linalg import (BraidedSpace, Echelon, SymMatrix, combine,
+                     extend_braiding, invert, kron, vec_add_scaled, vec_kron)
 from .ncalg import (DegreeBoundError, NCPoly, RelationSet, RewriteSystem,
                     Word, vector_to_poly, word_index, word_str)
 from .report import Report
@@ -342,7 +341,7 @@ def presentation_from_cartan(cartan: CartanData) -> UqPresentation:
 
 class ActionTable:
     """The actions of coalgebra symbols on V and, through the iterated
-    coproduct, on every tensor power V^(x)k, as sparse operators.
+    coproduct, on every tensor power V^(x)k, as matrices.
 
     `act` is the one way a word of symbols reaches V^(x)k; `operator` is its
     column-by-column matrix.  The extended action of a symbol is built once
@@ -357,7 +356,7 @@ class ActionTable:
         self.dim = dim
         self._extended: dict = {}
 
-    def extended(self, symbol, k: int) -> SparseOperator:
+    def extended(self, symbol, k: int) -> SymMatrix:
         """The action of `symbol` on V^(x)k through the (k-1)-fold coproduct;
         k = 0 gives the 1x1 operator of the counit."""
         key = (symbol, k)
@@ -369,14 +368,14 @@ class ActionTable:
                 raise ValueError(f"tensor power must be non-negative, got {k}")
             if k == 0:
                 eps = self.coalgebra.counit[symbol]
-                op = SparseOperator(1, [{} if eps.is_zero() else {0: eps}])
+                op = SymMatrix.from_columns(1, [{} if eps.is_zero()
+                                                else {0: eps}])
             elif k == 1:
-                op = SparseOperator.from_matrix(self.matrices[symbol])
+                op = self.matrices[symbol]
             else:
                 size = self.dim ** k
                 op = combine(size, size, (
-                    (reduce(SparseOperator.kron,
-                            (self.operator(w, 1) for w in words)), c)
+                    (reduce(kron, (self.operator(w, 1) for w in words)), c)
                     for words, c in self.coalgebra.iterated_terms(symbol, k)))
             self._extended[key] = op
         return op
@@ -388,17 +387,17 @@ class ActionTable:
             vec = self.extended(s, k).apply(vec)
         return vec
 
-    def operator(self, uword, k: int) -> SparseOperator:
+    def operator(self, uword, k: int) -> SymMatrix:
         """The action of a word of symbols on V^(x)k (the identity for the
         empty word): the rest of the word applied by `act` to each column of
         the last symbol's extended action, whose dicts it may share."""
         if k < 0:
             raise ValueError(f"tensor power must be non-negative, got {k}")
         if not uword:
-            return SparseOperator.identity(self.dim ** k)
+            return SymMatrix.identity(self.dim ** k)
         last = self.extended(uword[-1], k)
-        return SparseOperator(last.rows, (self.act(uword[:-1], col, k)
-                                          for col in last.columns))
+        return SymMatrix.from_columns(last.rows, (self.act(uword[:-1], col, k)
+                                                  for col in last.columns))
 
 
 class Representation:
@@ -442,8 +441,7 @@ class Representation:
 
     def genpoly_matrix(self, poly: GenPoly) -> SymMatrix:
         return combine(self.dim, self.dim, (
-            (self.actions.operator(w, 1), c)
-            for w, c in poly.items())).to_matrix()
+            (self.actions.operator(w, 1), c) for w, c in poly.items()))
 
     def coalgebra(self) -> GeneratorCoalgebra:
         return self.presentation.coalgebra
@@ -492,13 +490,13 @@ def generator_independence(rep: Representation) -> Report:
 def coproduct_action(rep: Representation, gen: Gen, k: int) -> SymMatrix:
     """The action of a generator on the k-th tensor power, obtained from the
     (k-1)-fold coproduct; k = 0 yields the 1x1 matrix of the counit."""
-    return rep.actions.extended(gen, k).to_matrix()
+    return rep.actions.extended(gen, k)
 
 
 def word_action(rep: Representation, word, k: int) -> SymMatrix:
     """Action of a word of generators on the k-th tensor power (identity
     for the empty word)."""
-    return rep.actions.operator(tuple(word), k).to_matrix()
+    return rep.actions.operator(tuple(word), k)
 
 
 def check_preserves_R(rep: Representation, space: BraidedSpace) -> Report:
@@ -510,17 +508,15 @@ def check_preserves_R(rep: Representation, space: BraidedSpace) -> Report:
     report = Report(f"braiding preserved by {rep.name}")
     for g in rep.presentation.generators:
         x = rep.actions.extended(g, 2)
-        lhs, rhs = space.psi.compose(x), x.compose(space.psi)
+        lhs, rhs = space.braiding * x, x * space.braiding
         ok = lhs == rhs
         report.add(f"{g} commutes with braiding on degree 2", ok,
-                   "" if ok else
-                   f"residual:\n{lhs.to_matrix() - rhs.to_matrix()}")
-    psi21 = extend_braiding(space, 2, 1).sparse
-    psi12 = extend_braiding(space, 1, 2).sparse
+                   "" if ok else f"residual:\n{lhs - rhs}")
+    psi21 = extend_braiding(space, 2, 1).operator
+    psi12 = extend_braiding(space, 1, 2).operator
     for g in rep.presentation.generators:
         x3 = rep.actions.extended(g, 3)
-        ok = (psi21.compose(x3) == x3.compose(psi21)
-              and psi12.compose(x3) == x3.compose(psi12))
+        ok = psi21 * x3 == x3 * psi21 and psi12 * x3 == x3 * psi12
         report.add(f"{g} commutes with degree-3 extensions", ok)
     return report
 

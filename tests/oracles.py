@@ -1,5 +1,5 @@
-"""Test-local references for `ncalg.hilbert_oracle` and
-`ncalg.complete_rewrite`.
+"""Test-local references for `ncalg.hilbert_oracle`,
+`ncalg.complete_rewrite` and `linalg.SymMatrix` arithmetic.
 
 `hilbert_reference` is the definition: the rank of the degree-2 relations
 placed at every position of V**d, eliminated exactly over Q(q).  It costs
@@ -18,6 +18,12 @@ relations.
 `complete_rewrite` replaced: per degree, it orients each non-zero normal
 form of an overlap difference as a rule, one at a time, renormalizes every
 right-hand side, and repeats until a pass adds no rule.
+
+The `dense_*` functions are matrix arithmetic on plain lists of rows of
+`Scalar` entries: product, sum, scaling, Kronecker product, application to a
+sparse vector and the determinant by Laplace expansion.  They share no code
+with `SymMatrix`, which stores its matrices by columns; `dense_rows` reads a
+`SymMatrix` through its dense view.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from fractions import Fraction
 
 from braidalg.linalg import Echelon
 from braidalg.ncalg import CompletionLog, NCPoly, RewriteSystem
+from braidalg.scalar import ONE, ZERO
 
 P = 2 ** 61 - 1
 
@@ -161,3 +168,83 @@ def _modular_rank(vectors) -> int:
                 else:
                     vec.pop(i, None)
     return len(rows)
+
+
+# --- dense matrix reference ---------------------------------------------------
+
+
+def dense_rows(m) -> list[list]:
+    """The rows of a `SymMatrix`, as lists."""
+    return [list(row) for row in m.entries]
+
+
+def dense_identity(n: int) -> list[list]:
+    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+
+
+def dense_zeros(rows: int, cols: int) -> list[list]:
+    return [[ZERO] * cols for _ in range(rows)]
+
+
+def dense_product(a: list[list], b: list[list]) -> list[list]:
+    """a . b, entry by entry: sum_k a[i][k] b[k][j]."""
+    out = dense_zeros(len(a), len(b[0]))
+    for i, row in enumerate(a):
+        for j in range(len(b[0])):
+            acc = ZERO
+            for k, x in enumerate(row):
+                acc = acc + x * b[k][j]
+            out[i][j] = acc
+    return out
+
+
+def dense_sum(a: list[list], b: list[list]) -> list[list]:
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def dense_scale(a: list[list], c) -> list[list]:
+    return [[x * c for x in row] for row in a]
+
+
+def dense_kron(a: list[list], b: list[list]) -> list[list]:
+    """Entry (i1 * rows(b) + i2, j1 * cols(b) + j2) is a[i1][j1] b[i2][j2]."""
+    rb, cb = len(b), len(b[0])
+    out = dense_zeros(len(a) * rb, len(a[0]) * cb)
+    for i1, arow in enumerate(a):
+        for j1, x in enumerate(arow):
+            for i2, brow in enumerate(b):
+                for j2, y in enumerate(brow):
+                    out[i1 * rb + i2][j1 * cb + j2] = x * y
+    return out
+
+
+def dense_kron_all(mats) -> list[list]:
+    out = mats[0]
+    for m in mats[1:]:
+        out = dense_kron(out, m)
+    return out
+
+
+def dense_apply(a: list[list], vec: dict) -> dict:
+    """a . vec for a sparse vector {column: Scalar}; the non-zero entries."""
+    out = {}
+    for i, row in enumerate(a):
+        acc = ZERO
+        for j, v in vec.items():
+            acc = acc + row[j] * v
+        if not acc.is_zero():
+            out[i] = acc
+    return out
+
+
+def dense_det(a: list[list]):
+    """The determinant, by Laplace expansion along the first row."""
+    if len(a) == 1:
+        return a[0][0]
+    out = ZERO
+    for j, x in enumerate(a[0]):
+        if x.is_zero():
+            continue
+        minor = dense_det([row[:j] + row[j + 1:] for row in a[1:]])
+        out = out + x * minor if j % 2 == 0 else out - x * minor
+    return out

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from braidalg.builtin import builtin_sl
 from braidalg.cli import main
 from braidalg.fixtures import (matrix_entries, representation_fixture,
@@ -394,3 +396,55 @@ def test_non_braid_fixture_is_invalid_for_chi_and_frt(tmp_path, capsys):
                  ["frt", "--input", str(fixture)]):
         assert main(argv) == 1, argv
         assert "invalid braiding" in capsys.readouterr().out
+
+
+def _sl2_fixture_with(path, key, value):
+    """The sl:2 representation fixture with doc[key] (or cartan[key], for a
+    key 'cartan.x') replaced by `value`."""
+    rep, _ = builtin_sl(2)
+    doc = representation_fixture(rep)
+    doc["rmatrix"] = {"builtin": "sl:2"}
+    if key.startswith("cartan."):
+        doc["cartan"][key[len("cartan."):]] = value
+    else:
+        doc[key] = value
+    write_fixture(doc, path)
+
+
+@pytest.mark.parametrize("doc, argv, message", [
+    ({"kind": "rmatrix", "dim": True, "entries": [["q"]]},
+     ["validate-r", "--input"], "positive integer 'dim'"),
+    ({"kind": "relations", "alphabet": True,
+      "relations": [[{"coeff": "1", "word": [1, 1]}]]},
+     ["chi", "--input"], "positive 'alphabet'"),
+    ({"kind": "relations", "alphabet": 2, "relations": [[
+        {"coeff": "1", "word": [True, 2]}, {"coeff": "-q", "word": [2, 1]}]]},
+     ["chi", "--input"], "1-based indices"),
+    ({"kind": "relations", "alphabet": 2, "relations": [[
+        {"coeff": "1", "word": [1.0, 2]}, {"coeff": "-q", "word": [2, 1]}]]},
+     ["chi", "--input"], "1-based indices"),
+], ids=["rmatrix-dim", "alphabet", "word-bool", "word-float"])
+def test_fixture_refuses_non_integers(tmp_path, capsys, doc, argv, message):
+    fixture = tmp_path / "f.json"
+    write_fixture(doc, fixture)
+    assert main([*argv, str(fixture)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("dim", True, "positive 'dim'"),
+    ("cartan.matrix", [[2.9]], "cartan.matrix must be"),
+    ("cartan.matrix", [[True]], "cartan.matrix must be"),
+    ("cartan.d", [True], "cartan.d must be"),
+    ("cartan.d", [1.0], "cartan.d must be"),
+], ids=["dim", "cartan-float", "cartan-bool", "d-bool", "d-float"])
+def test_representation_fixture_refuses_non_integers(tmp_path, capsys, key,
+                                                     value, message):
+    fixture = tmp_path / "rep.json"
+    _sl2_fixture_with(fixture, key, value)
+    assert main(["check", "--rep", str(fixture), "relations"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err

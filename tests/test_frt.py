@@ -355,3 +355,15 @@ def test_span_certificate_agrees_with_exhaustive_check(sl2, sl3):
                 _exhaustive_annihilation(mutated, space, degree), (gen, i, j)
             outcomes.add(item.passed)
     assert outcomes == {True, False}
+    # a failing sl:3 check at degree 3, so that the recount walks words of
+    # length 3 and reuses prefixes of length 2
+    rep, space = sl3
+    assign = dict(rep.assign)
+    entries = [list(row) for row in assign[Gen("F", 1)].entries]
+    entries[2][2] = -ONE
+    assign[Gen("F", 1)] = SymMatrix(entries)
+    mutated = Representation(rep.presentation, assign, name="perturbed")
+    item = check_duality(mutated, space, max_degree=3, samples=1).items[0]
+    assert not item.passed
+    assert (item.name, item.passed, item.detail) == \
+        _exhaustive_annihilation(mutated, space, 3)

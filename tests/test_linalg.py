@@ -9,7 +9,6 @@ from braidalg.linalg import (BraidedSpace, BraidEquationError, SymMatrix,
                              extend_braiding, flip_matrix, image_subspace,
                              invert, kron, minimal_poly, solve_commutant)
 from braidalg.linalg import Echelon, linear_solve, vec_add_scaled
-from braidalg.linalg import SparseOperator
 from braidalg.scalar import (LaurentPoly, ONE, Q, ZERO, Scalar, parse_poly,
                              parse_scalar)
 from braidalg.builtin import sl_rtt_matrix
@@ -267,12 +266,11 @@ def test_sparse_braiding_and_extensions_match_dense_views():
     spaces = [builtin_sl(2)[1], builtin_sl(3)[1], adjoint_sl2()[1],
               classical_space(2)]
     for space in spaces:
-        assert space.psi.to_matrix() == space.braiding
-        assert SparseOperator.from_matrix(space.braiding) == space.psi
+        assert SymMatrix(space.braiding.entries) == space.braiding
         for m in range(3):
             for n in range(3):
                 ext = extend_braiding(space, m, n)
-                dense = ext.operator
-                assert ext.sparse.to_matrix() == dense
                 # no stored zeros: the sparse form is the canonical one
-                assert SparseOperator.from_matrix(dense) == ext.sparse
+                assert SymMatrix(ext.operator.entries) == ext.operator
+                assert all(not v.is_zero() for col in ext.operator.columns
+                           for v in col.values())

@@ -7,7 +7,7 @@ Nearly all of this arithmetic stays in Z[q, q^-1], so a coefficient is
 stored as a Python `int` when it is integral and as a `Fraction` (with
 denominator greater than 1) only when it is not.  `Fraction(3) == 3` and
 both hash alike, so equality, hashing and printing do not depend on the
-split; the two divisions that can meet two ints build a `Fraction`
+split; the one division that can meet two ints builds a `Fraction`
 explicitly, so no float ever enters Q(q).
 
 All values are immutable and all operations are pure, so they are safe to
@@ -15,6 +15,9 @@ share between threads.  Equality of scalars is structural equality of
 canonical forms: fractions are reduced, the denominator is an ordinary
 polynomial in q with coprime integer coefficients and positive leading
 coefficient.
+
+Reduction to canonical form works over Z: content times primitive part, a
+primitive pseudo-remainder gcd and exact division (see `_canonical`).
 """
 
 from __future__ import annotations
@@ -191,70 +194,118 @@ def join_terms(parts) -> str:
     return " ".join(out) if out else "0"
 
 
-def _poly_divmod(a: dict, b: dict):
-    """Long division of ordinary polynomials given as exponent->coefficient
-    maps (int or Fraction)."""
-    r = dict(a)
-    q: dict = {}
-    db = max(b)
-    lb = b[db]
-    while r:
-        dr = max(r)
-        if dr < db:
-            break
-        c = Fraction(r[dr], lb)
-        e = dr - db
-        q[e] = q.get(e, _F0) + c
-        for eb, vb in b.items():
-            ee = eb + e
-            nv = r.get(ee, _F0) - c * vb
-            if nv:
-                r[ee] = nv
-            else:
-                r.pop(ee, None)
-    return q, r
+def _primitive(coeffs: dict, shift: int):
+    """Split a non-zero Laurent polynomial, divided by q^shift, into its
+    content and primitive part: (content numerator, content denominator,
+    dense integer coefficients in ascending degree with gcd 1 and a positive
+    leading coefficient)."""
+    den = 1
+    for v in coeffs.values():
+        if type(v) is not int:
+            den = den * v.denominator // _int_gcd(den, v.denominator)
+    p = [0] * (max(coeffs) - shift + 1)
+    for e, v in coeffs.items():
+        p[e - shift] = v if den == 1 else v.numerator * (den // v.denominator)
+    prim = _primitive_part(p)
+    return p[-1] // prim[-1], den, prim
 
 
-def _poly_gcd(a: dict, b: dict) -> dict:
-    """Monic gcd of ordinary polynomials over Q."""
-    a, b = dict(a), dict(b)
-    while b:
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    lead = a[max(a)]
-    return {e: Fraction(v, lead) for e, v in a.items()}
+def _primitive_part(p: list) -> list:
+    """p divided by the gcd of its coefficients, leading coefficient made
+    positive."""
+    content = _int_gcd(*p)
+    if p[-1] < 0:
+        content = -content
+    return p if content == 1 else [c // content for c in p]
+
+
+def _prs_gcd(a: list, b: list) -> list:
+    """The gcd of two primitive integer polynomials (dense, ascending) by the
+    primitive pseudo-remainder sequence: the pseudo-remainder of a by b,
+    with its integer content divided out, replaces the pair until it
+    vanishes (the gcd is the last divisor) or is a constant (the gcd is 1)."""
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        r, lb = a, b[-1]
+        while len(r) >= len(b):
+            # r := ml*r - mr*q^e*b, whose leading terms cancel
+            g = _int_gcd(r[-1], lb)
+            mr, ml = r[-1] // g, lb // g
+            e = len(r) - len(b)
+            r = ((r[:e] if ml == 1 else [c * ml for c in r[:e]])
+                 + [c * ml - mr * v for c, v in zip(r[e:-1], b)])
+            while r and not r[-1]:
+                r.pop()
+        if not r:
+            return b
+        a, b = b, _primitive_part(r)
+    return [1]
+
+
+def _exact_quotient(a: list, g: list) -> list:
+    """a / g over Z, for a divisor g of a in Z[q] (dense, ascending)."""
+    r = list(a)
+    dg, lg = len(g) - 1, g[-1]
+    out = [0] * (len(a) - dg)
+    for k in range(len(out) - 1, -1, -1):
+        c = r[k + dg]
+        if c:
+            c //= lg
+            out[k] = c
+            for i, v in enumerate(g):
+                r[k + i] -= c * v
+    return out
 
 
 def _canonical(num: LaurentPoly, den: LaurentPoly):
     """Reduce num/den: cancel common factors, shift the denominator to an
     ordinary polynomial with coprime integer coefficients and positive
-    leading coefficient."""
+    leading coefficient.
+
+    Each side, divided by its lowest power of q, is its content (a rational
+    number) times a primitive integer polynomial with positive leading
+    coefficient.  The gcd of the two primitive parts comes from a primitive
+    pseudo-remainder sequence (Collins 1967; Brown 1971; Knuth, TAOCP
+    vol. 2, 4.6.1), and both are divided by it exactly over Z.  The
+    quotient of the denominator is then canonical, and the two contents
+    meet in the numerator.  A side that is a single term has a constant
+    primitive part, and no gcd is taken."""
     if den.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     if num.is_zero():
         return LaurentPoly(), LaurentPoly.one()
     a = num.valuation()
     b = den.valuation()
-    n0 = {e - a: v for e, v in num.coeffs.items()}
-    d0 = {e - b: v for e, v in den.coeffs.items()}
-    if len(d0) > 1 or len(n0) > 1:
-        g = _poly_gcd(n0, d0)
-        if len(g) > 1 or g.get(0) != 1:
-            n0, _ = _poly_divmod(n0, g)
-            d0, _ = _poly_divmod(d0, g)
-    # Clear rational content of the denominator and fix its leading sign.
-    denoms = 1
-    for v in d0.values():
-        denoms = denoms * v.denominator // _int_gcd(denoms, v.denominator)
-    nums = 0
-    for v in d0.values():
-        nums = _int_gcd(nums, (v * denoms).numerator)
-    factor = Fraction(denoms, nums)
-    if d0[max(d0)] < 0:
-        factor = -factor
+    cn, ln, n0 = _primitive(num.coeffs, a)
+    cd, ld, d0 = _primitive(den.coeffs, b)
+    if len(n0) > 1 and len(d0) > 1:
+        g = _prs_gcd(n0, d0)
+        if len(g) > 1:
+            n0 = _exact_quotient(n0, g)
+            d0 = _exact_quotient(d0, g)
+    # the numerator's coefficients are scaled by (cn / ln) / (cd / ld)
+    top, bottom = cn * ld, ln * cd
+    h = _int_gcd(top, bottom)
+    if bottom < 0:
+        h = -h
+    top //= h
+    bottom //= h
     shift = a - b
-    num_out = LaurentPoly({e + shift: v * factor for e, v in n0.items()})
-    den_out = LaurentPoly({e: v * factor for e, v in d0.items()})
+    out = {}
+    for i, c in enumerate(n0):
+        if c:
+            c *= top
+            if bottom != 1:
+                h = _int_gcd(c, bottom)
+                c = c // h if h == bottom else Fraction(c, bottom)
+            out[i + shift] = c
+    num_out = LaurentPoly.__new__(LaurentPoly)
+    num_out.coeffs = out
+    num_out._hash = None
+    den_out = LaurentPoly.__new__(LaurentPoly)
+    den_out.coeffs = {i: c for i, c in enumerate(d0) if c}
+    den_out._hash = None
     return num_out, den_out
 
 
@@ -447,8 +498,8 @@ def q_binomial(n: int, r: int, base: Scalar = Q) -> Scalar:
 #   factor := '-'* atom ('^' ['-'] INT)?
 #   atom   := INT | 'q' | 'x' | '(' expr ')'
 #
-# Values during parsing are maps {x-degree: Scalar}; a plain scalar is the
-# map {0: value}.
+# Values during parsing are maps {x-degree: Scalar} with no zero value; a
+# plain scalar is the map {0: value}, and zero is the empty map.
 
 
 class _Parser:
@@ -557,7 +608,8 @@ class _Parser:
             self.take()
             return {1: ONE}
         if ch.isdigit():
-            return {0: Scalar.from_int(self.parse_int())}
+            n = self.parse_int()
+            return {0: Scalar.from_int(n)} if n else {}
         self.error("expected a number, 'q', or '('" + (" or 'x'" if self.allow_x else ""))
 
 

@@ -1,5 +1,6 @@
 """Test-local references for `ncalg.hilbert_oracle`,
-`ncalg.complete_rewrite` and `linalg.SymMatrix` arithmetic.
+`ncalg.complete_rewrite`, `linalg.SymMatrix` arithmetic and
+`scalar._canonical`.
 
 `hilbert_reference` is the definition: the rank of the degree-2 relations
 placed at every position of V**d, eliminated exactly over Q(q).  It costs
@@ -24,16 +25,22 @@ The `dense_*` functions are matrix arithmetic on plain lists of rows of
 sparse vector and the determinant by Laplace expansion.  They share no code
 with `SymMatrix`, which stores its matrices by columns; `dense_rows` reads a
 `SymMatrix` through its dense view.
+
+`canonical_reference` is the reduction that `scalar._canonical` replaced:
+Euclid's algorithm over `Fraction` coefficients gives the monic gcd, long
+division over Q removes it, and the denominator's rational content and sign
+are cleared last.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 from braidalg.linalg import Echelon
 from braidalg.ncalg import CompletionLog, NCPoly, RewriteSystem
-from braidalg.scalar import ONE, ZERO
+from braidalg.scalar import ONE, ZERO, LaurentPoly
 
 P = 2 ** 61 - 1
 
@@ -248,3 +255,60 @@ def dense_det(a: list[list]):
         minor = dense_det([row[:j] + row[j + 1:] for row in a[1:]])
         out = out + x * minor if j % 2 == 0 else out - x * minor
     return out
+
+
+# --- Q(q) canonical form reference --------------------------------------------
+
+
+def canonical_reference(num: LaurentPoly, den: LaurentPoly):
+    """(numerator, denominator) of num/den in canonical form: no common
+    factor, the denominator an ordinary polynomial with coprime integer
+    coefficients and a positive leading coefficient."""
+    if den.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    if num.is_zero():
+        return LaurentPoly(), LaurentPoly.one()
+    a, b = num.valuation(), den.valuation()
+    n0 = {e - a: Fraction(v) for e, v in num.coeffs.items()}
+    d0 = {e - b: Fraction(v) for e, v in den.coeffs.items()}
+    g = _euclid_gcd(n0, d0)
+    n0, _ = _long_division(n0, g)
+    d0, _ = _long_division(d0, g)
+    denoms = 1
+    for v in d0.values():
+        denoms = denoms * v.denominator // math.gcd(denoms, v.denominator)
+    nums = 0
+    for v in d0.values():
+        nums = math.gcd(nums, (v * denoms).numerator)
+    factor = Fraction(denoms, nums)
+    if d0[max(d0)] < 0:
+        factor = -factor
+    return (LaurentPoly({e + a - b: v * factor for e, v in n0.items()}),
+            LaurentPoly({e: v * factor for e, v in d0.items()}))
+
+
+def _long_division(a: dict, b: dict):
+    """(quotient, remainder) of polynomials over Q, as exponent->Fraction
+    maps."""
+    r = dict(a)
+    quotient: dict = {}
+    db = max(b)
+    while r and max(r) >= db:
+        dr = max(r)
+        c = r[dr] / b[db]
+        quotient[dr - db] = quotient.get(dr - db, 0) + c
+        for eb, vb in b.items():
+            nv = r.get(eb + dr - db, 0) - c * vb
+            if nv:
+                r[eb + dr - db] = nv
+            else:
+                r.pop(eb + dr - db, None)
+    return quotient, r
+
+
+def _euclid_gcd(a: dict, b: dict) -> dict:
+    """The monic gcd of polynomials over Q, by Euclid's algorithm."""
+    while b:
+        a, b = b, _long_division(a, b)[1]
+    lead = a[max(a)]
+    return {e: v / lead for e, v in a.items()}

@@ -244,6 +244,12 @@ def test_zero_division_in_poly_exits_2(capsys):
     assert main(["check", "--rep", "sl:2", "ideal", "--poly", "x - 0^-1"]) == 2
 
 
+@pytest.mark.parametrize("poly", ["0^0", "(1-1)^0", "(q-q)^0"])
+def test_zero_to_the_zero_exits_2(poly, capsys):
+    assert main(["chi", "--builtin", "sl:2", "--poly", poly]) == 2
+    assert "zero raised to a non-positive power" in capsys.readouterr().err
+
+
 def test_zero_division_in_fixture_exits_2(tmp_path, capsys):
     fixture = tmp_path / "div0.json"
     write_fixture({"kind": "rmatrix", "dim": 1, "form": "braiding",

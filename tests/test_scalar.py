@@ -3,11 +3,14 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from braidalg.scalar import (LaurentPoly, ONE, Q, ZERO, Scalar,
-                             ScalarParseError, join_terms, parse_poly,
-                             parse_scalar, power_str, q_binomial, q_integer)
+                             ScalarParseError, _canonical, join_terms,
+                             parse_poly, parse_scalar, power_str, q_binomial,
+                             q_integer)
+
+from oracles import canonical_reference
 
 
 def test_parse_basic_laurent():
@@ -49,6 +52,22 @@ def test_print_parse_roundtrip():
     for text in samples:
         s = parse_scalar(text)
         assert parse_scalar(str(s)) == s
+
+
+@pytest.mark.parametrize("text", ["0^0", "(1-1)^0", "(q-q)^0", "0^-1",
+                                  "(0*q)^0"])
+def test_zero_to_a_non_positive_power_is_refused(text):
+    with pytest.raises(ZeroDivisionError, match="zero raised"):
+        parse_scalar(text)
+    with pytest.raises(ZeroDivisionError, match="zero raised"):
+        parse_poly(f"x + {text}")
+
+
+def test_zero_literal_is_the_canonical_zero():
+    for text in ("0", "00", "0*q", "0/2", "-0", "0^3"):
+        assert parse_scalar(text) == ZERO, text
+        assert parse_poly(text) == [], text
+    assert parse_poly("x + 0") == [ZERO, ONE]
 
 
 def test_parse_errors_are_positioned():
@@ -217,11 +236,13 @@ _random_scalars = st.builds(
     _laurent, _laurent)
 
 
+def _sympy_laurent(p: LaurentPoly):
+    return sum((sympy.Rational(v.numerator, v.denominator) * _q ** e
+                for e, v in p.coeffs.items()), sympy.Integer(0))
+
+
 def _to_sympy(x: Scalar):
-    def laurent(p):
-        return sum((sympy.Rational(v.numerator, v.denominator) * _q ** e
-                    for e, v in p.coeffs.items()), sympy.Integer(0))
-    return laurent(x.num) / laurent(x.den)
+    return _sympy_laurent(x.num) / _sympy_laurent(x.den)
 
 
 def _assert_canonical(x: Scalar):
@@ -300,3 +321,37 @@ def test_printed_polynomial_reads_back_through_parse_poly(coeffs):
                       if not coeffs[d].is_zero())
     assert parse_poly(text) == coeffs, text
     assert "+ -" not in text and "- -" not in text, text
+
+
+# --- canonicalization against the Euclidean reference and sympy -------------
+
+_nonzero = st.builds(Fraction, st.integers(-6, 6).filter(bool),
+                     st.sampled_from([1, 2, 3, 5]))
+
+
+def _laurent_polys(min_terms: int, max_terms: int):
+    return st.dictionaries(st.integers(-3, 3), _nonzero, min_size=min_terms,
+                           max_size=max_terms).map(LaurentPoly)
+
+
+_P = LaurentPoly
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=_laurent_polys(0, 4), b=_laurent_polys(1, 4), f=_laurent_polys(1, 3))
+@example(a=_P(), b=_P({1: -2, 0: 1}), f=_P({-1: Fraction(1, 2)}))
+@example(a=_P({2: Fraction(-3, 2)}), b=_P({-1: -4}), f=_P({0: 3, 1: -1}))
+@example(a=_P({0: 1, 1: -1}), b=_P({3: Fraction(-2, 3)}), f=_P({2: -5}))
+@example(a=_P({1: -2, 0: 2}), b=_P({2: -1, 0: 1}), f=_P({1: Fraction(-1, 3),
+                                                       -2: 1}))
+def test_canonical_matches_euclid_reference_and_sympy(a, b, f):
+    """_canonical(a*f, b*f) is the pair the Euclidean reference gives, its
+    value is a/b, and it is in canonical form."""
+    num, den = _canonical(a * f, b * f)
+    ref_num, ref_den = canonical_reference(a * f, b * f)
+    assert (num.coeffs, den.coeffs) == (ref_num.coeffs, ref_den.coeffs)
+    got = Scalar._raw(num, den)
+    _assert_canonical(got)
+    assert _stored_canonically(got), (num.coeffs, den.coeffs)
+    expected = _sympy_laurent(a) / _sympy_laurent(b)
+    assert sympy.cancel(_to_sympy(got) - expected) == 0, (a, b, f)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from braidalg.builtin import classical_space, sl2_lie_actions
@@ -452,3 +454,39 @@ def test_generator_independence_fails_on_trivial_representation():
     trivial = Representation(pres, {Gen("E", 0): zero, Gen("F", 0): zero,
                                     Gen("K", 0): SymMatrix.identity(2)})
     assert not generator_independence(trivial).passed
+
+
+def _perturbed(rep, rng) -> Representation:
+    """rep with one entry of one E, F or K matrix changed to a different
+    non-zero value; K^-1 is recomputed.  Changing a diagonal entry of the
+    diagonal K, or an off-diagonal one, keeps it invertible."""
+    gens = [g for g in rep.presentation.generators if g.kind != "Ki"]
+    gen = rng.choice(gens)
+    entries = [list(row) for row in rep.assign[gen].entries]
+    r, c = rng.randrange(rep.dim), rng.randrange(rep.dim)
+    entries[r][c] = rng.choice([v for v in (ONE, -ONE, Q, Q ** -1 * 2)
+                                if v != entries[r][c]])
+    assign = {g: m for g, m in rep.assign.items() if g.kind != "Ki"}
+    assign[gen] = SymMatrix(entries)
+    return Representation(rep.presentation, assign, name=f"perturbed {gen}")
+
+
+@pytest.mark.parametrize("name", ["sl2", "sl3"])
+def test_measuring_holds_exactly_when_the_ideal_is_preserved(name, request):
+    """The descent condition: the generators measure the quotient through
+    degree 2 exactly when their coproduct actions map the relations into
+    the relation span.  Seeded single-entry perturbations land on both
+    sides."""
+    rep, space = request.getfixturevalue(name)
+    rng = random.Random(name)
+    outcomes = []
+    for poly in ("x - q", "x + q^-1"):
+        rels = relations_from_image(space, parse_poly(poly))
+        rs = complete_rewrite(rels, 2)
+        for _ in range(10):
+            bad = _perturbed(rep, rng)
+            measures = check_measuring(bad, rs, max_degree=2).passed
+            preserved = check_ideal_preserved(bad, rels).passed
+            assert measures == preserved, (poly, bad.name)
+            outcomes.append(measures)
+    assert set(outcomes) == {True, False}

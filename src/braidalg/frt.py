@@ -297,23 +297,23 @@ def check_duality(rep: Representation, space: BraidedSpace,
         return tuple(rng.choice(t_letters)
                      for _ in range(rng.randint(min_len, max_len)))
 
-    product_plain = product_op = True
-    for _ in range(samples):
-        u = random_u(max_degree - 1)
-        v = random_u(max_degree - 1)
-        a = random_t(max_degree)
-        lhs = table.pair(u + v, a)
-        rhs_plain = ZERO
-        rhs_op = ZERO
-        for left, right, c in pres.coalgebra.delta_word(a):
-            plain = table.pair(u, left) * table.pair(v, right)
-            op = table.pair(v, left) * table.pair(u, right)
-            rhs_plain += plain if c is ONE else plain * c
-            rhs_op += op if c is ONE else op * c
-        if lhs != rhs_plain:
-            product_plain = False
-        if lhs != rhs_op:
-            product_op = False
+    triples = [(random_u(max_degree - 1), random_u(max_degree - 1),
+                random_t(max_degree)) for _ in range(samples)]
+
+    def multiplicative(opposite: bool) -> bool:
+        """<uv, a> = sum <u, a1><v, a2> on every triple, or with u and v
+        exchanged on the right when `opposite`."""
+        for u, v, a in triples:
+            x, y = (v, u) if opposite else (u, v)
+            rhs = ZERO
+            for left, right, c in pres.coalgebra.delta_word(a):
+                term = table.pair(x, left) * table.pair(y, right)
+                rhs += term if c is ONE else term * c
+            if table.pair(u + v, a) != rhs:
+                return False
+        return True
+
+    product_plain = multiplicative(False)
     report.add(f"<uv, a> = sum <u, a1><v, a2> on {samples} samples",
                product_plain)
 
@@ -332,9 +332,11 @@ def check_duality(rep: Representation, space: BraidedSpace,
     report.add(f"<u, ab> = sum <u1, a><u2, b> on {samples} samples",
                coproduct_ok)
 
+    # act composes the actions of words in the plain order, so the
+    # opposite order is evaluated only when the plain one fails
     if product_plain:
         orientation = "direct (plain multiplication order)"
-    elif product_op:
+    elif multiplicative(True):
         orientation = "opposite multiplication order"
     else:
         orientation = "neither orientation holds"

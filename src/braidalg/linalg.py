@@ -189,8 +189,10 @@ def flip_matrix(n: int) -> SymMatrix:
 
 
 def vec_add_scaled(target: dict, src: dict, c: Scalar):
+    """target += c * src in place, dropping the entries that cancel; a unit
+    `c` is not multiplied, so a plain sum costs no product."""
     for i, v in src.items():
-        nv = target.get(i, ZERO) + c * v
+        nv = target.get(i, ZERO) + (v if c is ONE else c * v)
         if nv.is_zero():
             target.pop(i, None)
         else:
@@ -361,14 +363,15 @@ def minimal_poly(m: SymMatrix) -> list[Scalar]:
 
 def eval_poly_at_matrix(coeffs: list[Scalar], m: SymMatrix) -> SymMatrix:
     """sum coeffs[k] * m**k for ascending coefficients."""
-    out = SymMatrix.zeros(m.rows, m.cols)
+    if not m.is_square():
+        raise ValueError("polynomial of a non-square matrix")
     power = SymMatrix.identity(m.rows)
+    terms = []
     for k, c in enumerate(coeffs):
         if k:
-            power = power * m
-        if not c.is_zero():
-            out = out + power * c
-    return out
+            power = m * power
+        terms.append((power, c))
+    return combine(m.rows, m.cols, terms)
 
 
 # --- braidings ---------------------------------------------------------------
@@ -460,26 +463,13 @@ class BraidingExtension:
     operator: SymMatrix
 
 
-def extend_braiding(space: BraidedSpace, m: int, n: int,
-                    pair_order: str = "left") -> BraidingExtension:
-    """Build the degree-(m, n) braiding extension from adjacent crossings.
-    `pair_order` selects which block is walked first ("left" moves the left
-    block strand by strand, "right" the right block); the braid equation
-    makes both recipes agree.
-    """
-    if pair_order == "left":
-        # strand i of the left block crosses the n right strands in turn,
-        # innermost strand (i = m) first
-        positions = [p for i in range(m, 0, -1) for p in range(i, i + n)]
-    elif pair_order == "right":
-        # strand j of the right block crosses the m left strands in turn,
-        # innermost strand (j = 1) first
-        positions = [p for j in range(1, n + 1)
-                     for p in range(m + j - 1, j - 1, -1)]
-    else:
-        raise ValueError("pair_order must be 'left' or 'right'")
+def extend_braiding(space: BraidedSpace, m: int, n: int) -> BraidingExtension:
+    """Build the degree-(m, n) braiding extension from adjacent crossings:
+    strand i of the left block crosses the n right strands in turn,
+    innermost strand (i = m) first."""
     if m < 0 or n < 0:
         raise ValueError("degrees must be non-negative")
+    positions = [p for i in range(m, 0, -1) for p in range(i, i + n)]
     d, total = space.dim, m + n
     op = SymMatrix.identity(d ** total)
     for p in positions:

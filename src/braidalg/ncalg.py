@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .linalg import Echelon, SymMatrix, combine, vec_add_scaled
-from .scalar import ONE, ZERO, Scalar, join_terms
+from .linalg import Echelon, eval_poly_at_matrix, vec_add_scaled
+from .scalar import ONE, Scalar, join_terms
 
 Word = tuple
 
@@ -82,17 +82,17 @@ class NCPoly:
             return lengths <= {d}
         return len(lengths) <= 1
 
+    @classmethod
+    def _of(cls, coeffs: dict) -> "NCPoly":
+        """The polynomial of a dict that holds no zero coefficient."""
+        out = cls.__new__(cls)
+        out.coeffs = coeffs
+        return out
+
     def __add__(self, other: "NCPoly") -> "NCPoly":
         c = dict(self.coeffs)
-        for w, v in other.coeffs.items():
-            nv = c.get(w, ZERO) + v
-            if nv.is_zero():
-                c.pop(w, None)
-            else:
-                c[w] = nv
-        out = NCPoly.__new__(NCPoly)
-        out.coeffs = c
-        return out
+        vec_add_scaled(c, other.coeffs, ONE)
+        return NCPoly._of(c)
 
     def __sub__(self, other: "NCPoly") -> "NCPoly":
         return self + other.scale(-ONE)
@@ -103,23 +103,14 @@ class NCPoly:
     def scale(self, c: Scalar) -> "NCPoly":
         if c.is_zero():
             return NCPoly()
-        out = NCPoly.__new__(NCPoly)
-        out.coeffs = {w: v * c for w, v in self.coeffs.items()}
-        return out
+        return NCPoly._of({w: v * c for w, v in self.coeffs.items()})
 
     def __mul__(self, other: "NCPoly") -> "NCPoly":
         c: dict = {}
         for wa, va in self.coeffs.items():
-            for wb, vb in other.coeffs.items():
-                w = wa + wb
-                nv = c.get(w, ZERO) + va * vb
-                if nv.is_zero():
-                    c.pop(w, None)
-                else:
-                    c[w] = nv
-        out = NCPoly.__new__(NCPoly)
-        out.coeffs = c
-        return out
+            vec_add_scaled(c, {wa + wb: vb for wb, vb in other.coeffs.items()},
+                           va)
+        return NCPoly._of(c)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, NCPoly) and self.coeffs == other.coeffs
@@ -220,15 +211,8 @@ class RelationSet:
 def relations_from_image(space, f: list[Scalar]) -> RelationSet:
     """The relations spanning f(braiding)(V (x) V), in x_1..x_n.  `f` is
     given by ascending coefficients."""
-    psi = space.braiding
-    power = SymMatrix.identity(psi.rows)
-    terms = []
-    for k, c in enumerate(f):
-        if k:
-            power = psi * power
-        terms.append((power, c))
-    image = combine(psi.rows, psi.rows, terms)
-    return RelationSet.spanned_by(space.dim, image.columns)
+    return RelationSet.spanned_by(
+        space.dim, eval_poly_at_matrix(f, space.braiding).columns)
 
 
 @dataclass
@@ -281,10 +265,11 @@ class RewriteSystem:
             if lhs is None:
                 continue
             prefix, suffix = word[:pos], word[pos + len(lhs):]
-            acc = NCPoly()
+            acc: dict = {}
             for w, c in self.rules[lhs].coeffs.items():
-                acc = acc + self.normal_form_word(prefix + w + suffix).scale(c)
-            result = acc
+                vec_add_scaled(acc, self.normal_form_word(
+                    prefix + w + suffix).coeffs, c)
+            result = NCPoly._of(acc)
             break
         if result is None:
             result = NCPoly.monomial(word)
@@ -292,10 +277,10 @@ class RewriteSystem:
         return result
 
     def normal_form(self, p: NCPoly) -> NCPoly:
-        out = NCPoly()
+        out: dict = {}
         for w, c in p.coeffs.items():
-            out = out + self.normal_form_word(w).scale(c)
-        return out
+            vec_add_scaled(out, self.normal_form_word(w).coeffs, c)
+        return NCPoly._of(out)
 
     def irreducible_words(self, degree: int) -> list[Word]:
         """All irreducible words of the given degree, lexicographically by

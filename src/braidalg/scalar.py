@@ -39,10 +39,6 @@ class ScalarZeroDivision(ScalarParseError, ZeroDivisionError):
     ZeroDivisionError for callers that catch arithmetic errors."""
 
 
-_F0 = 0
-_F1 = 1
-
-
 class LaurentPoly:
     """A Laurent polynomial in q, stored as a map {exponent: coefficient}.
 
@@ -56,7 +52,7 @@ class LaurentPoly:
     {0: 2}
     """
 
-    __slots__ = ("coeffs", "_hash")
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
         c = {}
@@ -69,7 +65,6 @@ class LaurentPoly:
                 if v:
                     c[int(e)] = v
         self.coeffs = c
-        self._hash = None
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
@@ -77,13 +72,13 @@ class LaurentPoly:
 
     @classmethod
     def one(cls) -> "LaurentPoly":
-        return cls({0: _F1})
+        return cls({0: 1})
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
     def is_one(self) -> bool:
-        return self.coeffs == {0: _F1}
+        return self.coeffs == {0: 1}
 
     def degree(self) -> int:
         if not self.coeffs:
@@ -98,7 +93,7 @@ class LaurentPoly:
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         c = dict(self.coeffs)
         for e, v in other.coeffs.items():
-            nv = c.get(e, _F0) + v
+            nv = c.get(e, 0) + v
             if nv:
                 c[e] = nv if type(nv) is int or nv.denominator > 1 \
                     else nv.numerator
@@ -106,13 +101,11 @@ class LaurentPoly:
                 c.pop(e, None)
         out = LaurentPoly.__new__(LaurentPoly)
         out.coeffs = c
-        out._hash = None
         return out
 
     def __neg__(self) -> "LaurentPoly":
         out = LaurentPoly.__new__(LaurentPoly)
         out.coeffs = {e: -v for e, v in self.coeffs.items()}
-        out._hash = None
         return out
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
@@ -125,7 +118,7 @@ class LaurentPoly:
         for ea, va in a.items():
             for eb, vb in b.items():
                 e = ea + eb
-                nv = c.get(e, _F0) + va * vb
+                nv = c.get(e, 0) + va * vb
                 if nv:
                     c[e] = nv if type(nv) is int or nv.denominator > 1 \
                         else nv.numerator
@@ -133,7 +126,6 @@ class LaurentPoly:
                     c.pop(e, None)
         out = LaurentPoly.__new__(LaurentPoly)
         out.coeffs = c
-        out._hash = None
         return out
 
     def evaluate(self, q0: Fraction) -> Fraction:
@@ -146,9 +138,7 @@ class LaurentPoly:
         return isinstance(other, LaurentPoly) and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(tuple(sorted(self.coeffs.items())))
-        return self._hash
+        return hash(tuple(sorted(self.coeffs.items())))
 
     def __str__(self) -> str:
         return join_terms((self.coeffs[e], power_str("q", e))
@@ -302,10 +292,8 @@ def _canonical(num: LaurentPoly, den: LaurentPoly):
             out[i + shift] = c
     num_out = LaurentPoly.__new__(LaurentPoly)
     num_out.coeffs = out
-    num_out._hash = None
     den_out = LaurentPoly.__new__(LaurentPoly)
     den_out.coeffs = {i: c for i, c in enumerate(d0) if c}
-    den_out._hash = None
     return num_out, den_out
 
 
@@ -319,18 +307,17 @@ class Scalar:
     True
     """
 
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("num", "den")
 
     def __init__(self, num: LaurentPoly, den: LaurentPoly | None = None):
         if den is None:
             den = LaurentPoly.one()
         self.num, self.den = _canonical(num, den)
-        self._hash = None
 
     @classmethod
     def _raw(cls, num: LaurentPoly, den: LaurentPoly) -> "Scalar":
         out = cls.__new__(cls)
-        out.num, out.den, out._hash = num, den, None
+        out.num, out.den = num, den
         return out
 
     @classmethod
@@ -339,7 +326,7 @@ class Scalar:
 
     @classmethod
     def q_power(cls, k: int) -> "Scalar":
-        return cls._raw(LaurentPoly({k: _F1}), LaurentPoly.one())
+        return cls._raw(LaurentPoly({k: 1}), LaurentPoly.one())
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -434,9 +421,7 @@ class Scalar:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.num, self.den))
-        return self._hash
+        return hash((self.num, self.den))
 
     def __str__(self) -> str:
         if self.den.is_one():

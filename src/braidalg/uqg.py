@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 from math import gcd
 
 from .linalg import (BraidedSpace, Echelon, SymMatrix, combine,
@@ -193,20 +193,6 @@ class GeneratorCoalgebra:
             out = out * self.counit[s]
         return out
 
-    def iterated_terms(self, symbol, k: int) -> list:
-        """Terms of the (k-1)-fold comultiplication as (k-tuple of words,
-        coefficient); requires k >= 1."""
-        if k < 1:
-            raise ValueError(f"iterated coproduct needs k >= 1, got {k}")
-        terms = [(((symbol,),), ONE)]
-        while len(terms[0][0]) < k:
-            expanded = {}
-            for words, c in terms:
-                for l, r, c2 in self.delta_word(words[0]):
-                    _acc(expanded, (l, r) + words[1:], c * c2)
-            terms = list(expanded.items())
-        return terms
-
     def check_coassociativity(self) -> Report:
         report = Report("coassociativity")
         for s in self.symbols:
@@ -214,9 +200,9 @@ class GeneratorCoalgebra:
             rhs: dict = {}
             for l, r, c in self.delta[s]:
                 for l2, r2, c2 in self.delta_word(l):
-                    _acc(lhs, (l2, r2, r), c * c2)
+                    vec_add_scaled(lhs, {(l2, r2, r): c2}, c)
                 for l2, r2, c2 in self.delta_word(r):
-                    _acc(rhs, (l, l2, r2), c * c2)
+                    vec_add_scaled(rhs, {(l, l2, r2): c2}, c)
             report.add(f"(delta x 1)delta = (1 x delta)delta on {s}", lhs == rhs)
         return report
 
@@ -226,20 +212,12 @@ class GeneratorCoalgebra:
             left: dict = {}
             right: dict = {}
             for l, r, c in self.delta[s]:
-                _acc(left, r, c * self.counit_word(l))
-                _acc(right, l, c * self.counit_word(r))
+                vec_add_scaled(left, {r: self.counit_word(l)}, c)
+                vec_add_scaled(right, {l: self.counit_word(r)}, c)
             expect = {(s,): ONE}
             report.add(f"(eps x 1)delta = id on {s}", left == expect)
             report.add(f"(1 x eps)delta = id on {s}", right == expect)
         return report
-
-
-def _acc(target: dict, key, value: Scalar):
-    nv = target.get(key, ZERO) + value
-    if nv.is_zero():
-        target.pop(key, None)
-    else:
-        target[key] = nv
 
 
 @dataclass
@@ -340,14 +318,16 @@ def presentation_from_cartan(cartan: CartanData) -> UqPresentation:
 
 
 class ActionTable:
-    """The actions of coalgebra symbols on V and, through the iterated
-    coproduct, on every tensor power V^(x)k, as matrices.
+    """The actions of coalgebra symbols on V and, through the coproduct, on
+    every tensor power V^(x)k, as matrices.
 
     `act` is the one way a word of symbols reaches V^(x)k; `operator` is its
     column-by-column matrix.  The extended action of a symbol is built once
-    per (symbol, k), from the Kronecker products of the word operators on V
-    in its iterated coproduct.  Unknown symbols and negative tensor powers
-    are refused with ValueError when an extended action is first built."""
+    per (symbol, k) by one coproduct step, V^(x)k = V (x) V^(x)(k-1): the
+    sum of c * (l on V) (x) (r on V^(x)(k-1)) over the terms (l, r, c) of
+    its coproduct, the right factor from the memoized (k-1)-st power.  Unknown
+    symbols and negative tensor powers are refused with ValueError when an
+    extended action is first built."""
 
     def __init__(self, coalgebra: GeneratorCoalgebra, matrices: dict,
                  dim: int):
@@ -375,8 +355,8 @@ class ActionTable:
             else:
                 size = self.dim ** k
                 op = combine(size, size, (
-                    (reduce(kron, (self.operator(w, 1) for w in words)), c)
-                    for words, c in self.coalgebra.iterated_terms(symbol, k)))
+                    (kron(self.operator(l, 1), self.operator(r, k - 1)), c)
+                    for l, r, c in self.coalgebra.delta[symbol]))
             self._extended[key] = op
         return op
 

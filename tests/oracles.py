@@ -24,7 +24,10 @@ The `dense_*` functions are matrix arithmetic on plain lists of rows of
 `Scalar` entries: product, sum, scaling, Kronecker product, application to a
 sparse vector and the determinant by Laplace expansion.  They share no code
 with `SymMatrix`, which stores its matrices by columns; `dense_rows` reads a
-`SymMatrix` through its dense view.
+`SymMatrix` through its dense view.  `iterated_coproduct` expands the whole
+(k-1)-fold coproduct of a symbol, the recipe of the dense reference for
+`ActionTable.extended`, which takes one coproduct step per tensor power
+instead; coassociativity makes the two agree.
 
 `canonical_reference` is the reduction that `scalar._canonical` replaced:
 Euclid's algorithm over `Fraction` coefficients gives the monic gcd, long
@@ -76,7 +79,9 @@ def modular_hilbert(relations, max_degree: int, seed: int) -> list[int]:
 def completion_reference(relations, max_degree: int):
     """(rules, rules added per degree) of the fixpoint completion through
     `max_degree`.  Normal forms come from a `RewriteSystem` rebuilt, with an
-    empty memo, whenever a rule changes."""
+    empty memo, after each new rule and once per interreduction pass; the
+    reduced rules that the loop ends with do not depend on which equivalent
+    normal forms a stale memo hands out within a pass."""
     order = relations.order
     rules = {}
     for rel in relations.relations:
@@ -116,8 +121,9 @@ def completion_reference(relations, max_degree: int):
             changed = True
             while changed:
                 changed = False
+                rs = current()
                 for lead in list(rules):
-                    nf = current().normal_form(rules[lead])
+                    nf = rs.normal_form(rules[lead])
                     if nf != rules[lead]:
                         rules[lead] = nf
                         changed = True
@@ -242,6 +248,21 @@ def dense_apply(a: list[list], vec: dict) -> dict:
         if not acc.is_zero():
             out[i] = acc
     return out
+
+
+def iterated_coproduct(coalgebra, symbol, k: int) -> list:
+    """Terms of the (k-1)-fold coproduct of `symbol` as (k-tuple of words,
+    coefficient), k >= 1, each step splitting the first word by
+    `delta_word`."""
+    terms = [(((symbol,),), ONE)]
+    while len(terms[0][0]) < k:
+        expanded: dict = {}
+        for words, c in terms:
+            for left, right, c2 in coalgebra.delta_word(words[0]):
+                key = (left, right) + words[1:]
+                expanded[key] = expanded.get(key, ZERO) + c * c2
+        terms = [(w, c) for w, c in expanded.items() if not c.is_zero()]
+    return terms
 
 
 def dense_det(a: list[list]):

@@ -1,12 +1,13 @@
-"""The action table against dense references built here from the iterated
-coproduct and the row-list Kronecker products of `oracles.py`, and
-`SymMatrix` arithmetic against that row-list reference."""
+"""The action table against dense references built here from the whole
+(k-1)-fold coproduct of `oracles.iterated_coproduct` and the row-list
+Kronecker products of `oracles.py`, and `SymMatrix` arithmetic against that
+row-list reference."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import (dense_apply, dense_det, dense_identity, dense_kron,
                      dense_kron_all, dense_product, dense_rows, dense_scale,
-                     dense_sum, dense_zeros)
+                     dense_sum, dense_zeros, iterated_coproduct)
 
 from braidalg.builtin import adjoint_sl2, builtin_sl, sl2_lie_actions
 from braidalg.linalg import SymMatrix, invert, kron
@@ -28,7 +29,7 @@ def _dense_extended(coalg, matrices: dict, symbol, k: int,
     if k == 0:
         return [[coalg.counit[symbol]]]
     out = dense_zeros(dim ** k, dim ** k)
-    for words, c in coalg.iterated_terms(symbol, k):
+    for words, c in iterated_coproduct(coalg, symbol, k):
         out = dense_sum(out, dense_scale(dense_kron_all(
             [_dense_word(matrices, w, dim) for w in words]), c))
     return out
@@ -36,7 +37,18 @@ def _dense_extended(coalg, matrices: dict, symbol, k: int,
 
 def _table(spec):
     """(ActionTable, its symbols) for a builtin, the adjoint sl_2
-    representation or the classical sl_2 derivations."""
+    representation, the classical sl_2 derivations or a second-order
+    operator Z with delta(Z) = Z (x) 1 + 1 (x) Z + q X (x) X, X primitive,
+    whose coproduct has a coefficient other than 1."""
+    if spec == "second-order":
+        symbols = ["X", "Z"]
+        delta = {"X": [(("X",), (), ONE), ((), ("X",), ONE)],
+                 "Z": [(("Z",), (), ONE), ((), ("Z",), ONE),
+                       (("X",), ("X",), Q)]}
+        coalg = GeneratorCoalgebra(symbols, delta, {"X": ZERO, "Z": ZERO})
+        matrices = {"X": SymMatrix([[ONE, Q], [ZERO, -ONE]]),
+                    "Z": SymMatrix([[Q, ZERO], [ONE, -ONE]])}
+        return ActionTable(coalg, matrices, 2), symbols
     if spec == "classical":
         symbols = ["X1", "X2", "X3"]
         matrices = dict(zip(symbols, sl2_lie_actions()))
@@ -47,7 +59,8 @@ def _table(spec):
 
 
 @pytest.mark.parametrize("spec, max_k", [("sl:2", 4), ("sl:3", 3),
-                                         ("adjoint", 3), ("classical", 3)])
+                                         ("adjoint", 3), ("classical", 3),
+                                         ("second-order", 4)])
 def test_extended_actions_match_dense_reference(spec, max_k):
     table, symbols = _table(spec)
     for s in symbols:

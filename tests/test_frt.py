@@ -237,6 +237,42 @@ def test_duality_sl3(sl3):
     assert report.passed
 
 
+def _orientation_report(sl2, monkeypatch, column):
+    """check_duality on sl:2 with `PairingTable.column` replaced: its
+    sampled items by kind, and its orientation note."""
+    rep, space = sl2
+    monkeypatch.setattr(PairingTable, "column", column)
+    report = check_duality(rep, space, max_degree=3, samples=300)
+    items = {i.name.split(" on ")[0]: i.passed for i in report.items
+             if " samples" in i.name}
+    notes = [n for n in report.notes if n.startswith("multiplicativity")]
+    return items, notes
+
+
+def test_duality_reports_the_opposite_orientation(sl2, monkeypatch):
+    # composing a word first symbol first makes X_uv = X_v X_u
+    def column(self, u, k, col):
+        vec = {col: ONE}
+        for s in u:
+            vec = self.rep.actions.act((s,), vec, k)
+        return vec
+
+    items, notes = _orientation_report(sl2, monkeypatch, column)
+    assert items["<uv, a> = sum <u, a1><v, a2>"] is False
+    assert notes == ["multiplicativity orientation: "
+                     "opposite multiplication order"]
+
+
+def test_duality_reports_neither_orientation(sl2, monkeypatch):
+    # a word acting as its first symbol alone breaks both orders
+    def column(self, u, k, col):
+        return self.rep.actions.act(u[:1], {col: ONE}, k)
+
+    items, notes = _orientation_report(sl2, monkeypatch, column)
+    assert list(items.values()) == [False, False]
+    assert notes == ["multiplicativity orientation: neither orientation holds"]
+
+
 def test_pairing_rejects_unknown_letter(sl2):
     rep, _ = sl2
     with pytest.raises(ValueError):

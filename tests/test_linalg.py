@@ -78,6 +78,16 @@ def test_minimal_poly_builtin_braidings():
         # neither factor alone annihilates
         for single in (parse_poly("x - q"), parse_poly("x + q^-1")):
             assert not eval_poly_at_matrix(single, space.braiding).is_zero()
+        assert eval_poly_at_matrix(mp, space.braiding).is_zero()
+
+
+def test_polynomials_of_non_square_matrices_are_refused():
+    wide = SymMatrix([[ONE, ZERO, Q], [ZERO, ONE, ZERO]])
+    for coeffs in ([Q], [-Q, ONE]):
+        with pytest.raises(ValueError, match="non-square"):
+            eval_poly_at_matrix(coeffs, wide)
+    with pytest.raises(ValueError, match="non-square"):
+        minimal_poly(wide)
 
 
 def test_braided_space_construction_validates():
@@ -128,11 +138,15 @@ def test_extend_braiding_anchors(sl2):
 
 
 def test_extend_braiding_pair_orders_agree(sl2, sl3):
+    # the other recipe walks the right block: strand j of it crosses the m
+    # left strands in turn, innermost strand (j = 1) first; the braid
+    # equation makes both agree
     for rep, space in (sl2, sl3):
         for m, n in ((2, 1), (1, 2), (2, 2)):
-            left = extend_braiding(space, m, n, "left").operator
-            right = extend_braiding(space, m, n, "right").operator
-            assert left == right
+            right = [p for j in range(1, n + 1)
+                     for p in range(m + j - 1, j - 1, -1)]
+            assert extend_braiding(space, m, n).operator == \
+                _crossings(space, right[::-1], m + n)
 
 
 def _kron_id(space, op, left, right):
@@ -226,16 +240,7 @@ def test_extend_braiding_equals_dense_crossings(sl2):
     expected = {(2, 2): _crossings(space, (2, 1, 3, 2), 4),
                 (3, 1): _crossings(space, (1, 2, 3), 4)}
     for (m, n), dense in expected.items():
-        for order in ("left", "right"):
-            assert extend_braiding(space, m, n, order).operator == dense, \
-                (m, n, order)
-
-
-def test_extend_braiding_rejects_bad_order_on_empty_blocks(sl2):
-    _, space = sl2
-    for m, n in ((0, 2), (2, 0), (0, 0)):
-        with pytest.raises(ValueError, match="pair_order"):
-            extend_braiding(space, m, n, "middle")
+        assert extend_braiding(space, m, n).operator == dense, (m, n)
 
 
 _scalars = st.builds(lambda c, e: Scalar(LaurentPoly({e: Fraction(c)})),

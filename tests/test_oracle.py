@@ -1,9 +1,12 @@
 """`hilbert_oracle` against two references kept in `oracles.py`: the exact
 rank over all of V**d at small degrees, and the rank modulo a prime at q
-specialized to a random residue where the exact reference cannot go.  Also
-the pivot rule of the oracle's echelon."""
+specialized to a random residue where the exact reference cannot go.  The
+ranks of `relations_from_image` and `frt_relations` against the same rank
+modulo a prime, taken from the braiding's entries alone.  Also the pivot
+rule of the oracle's echelon."""
 
 import math
+import random
 from functools import lru_cache
 
 import pytest
@@ -17,7 +20,8 @@ from braidalg.ncalg import (NCPoly, RelationSet, _UnitPivotEchelon,
                             hilbert_oracle, relations_from_image)
 from braidalg.scalar import ONE, Q, ZERO, parse_poly, parse_scalar
 
-from oracles import hilbert_reference, modular_hilbert
+from oracles import (P, _modular_rank, _residue, hilbert_reference,
+                     modular_hilbert)
 
 
 @lru_cache(maxsize=None)
@@ -93,6 +97,91 @@ def test_sl3_frt_oracle_at_degree_four_is_flat():
 def test_adjoint_frt_oracle_at_degree_four_agrees_with_modular_rank():
     rels = _relations("adjoint", None)
     assert hilbert_oracle(rels, 4) == modular_hilbert(rels, 4, seed=4)
+
+
+# --- relation ranks modulo a prime -------------------------------------------
+#
+# q is sent to a seeded residue q0 modulo P; the rank there is at most the
+# rank over Q(q), and equal to it unless q0 is a root of one of finitely many
+# non-zero polynomials.  Matrices are lists of sparse columns {row: int}.
+
+
+def _q0(seed: int) -> int:
+    return random.Random(seed).randrange(2, P - 1)
+
+
+def _braiding_mod_p(space, q0: int) -> list[dict]:
+    return [{i: r for i, v in col.items() if (r := _residue(v, q0))}
+            for col in space.braiding.columns]
+
+
+def _image_rank_mod_p(space, f, q0: int) -> int:
+    """The rank of f(B) modulo P, by Horner's rule from the top
+    coefficient."""
+    b = _braiding_mod_p(space, q0)
+    out: list[dict] = [{} for _ in b]
+    for c in reversed(f):
+        r = _residue(c, q0)
+        nxt = []
+        for j, col in enumerate(out):
+            acc = {j: r}                     # B . col + r e_j
+            for k, v in col.items():
+                for i, w in b[k].items():
+                    acc[i] = (acc.get(i, 0) + w * v) % P
+            nxt.append({i: v for i, v in acc.items() if v})
+        out = nxt
+    return _modular_rank(out)
+
+
+def _frt_rank_mod_p(space, q0: int) -> int:
+    """The rank of kron(B^T, I) - kron(I, B) modulo P; `frt_relations`
+    conjugates it by the middle swap, which keeps the rank."""
+    b = _braiding_mod_p(space, q0)
+    m = len(b)
+    rows: list[dict] = [{} for _ in b]
+    for j, col in enumerate(b):
+        for i, v in col.items():
+            rows[i][j] = v
+    columns = []
+    for j1 in range(m):
+        for j2 in range(m):
+            # column (j1, j2): (B^T)[i1, j1] = B[j1, i1] at (i1, j2), minus
+            # B[i2, j2] at (j1, i2)
+            vec = {i1 * m + j2: v for i1, v in rows[j1].items()}
+            for i2, v in b[j2].items():
+                vec[j1 * m + i2] = (vec.get(j1 * m + i2, 0) - v) % P
+            columns.append({i: v for i, v in vec.items() if v})
+    return _modular_rank(columns)
+
+
+@pytest.mark.parametrize("spec, poly", [
+    ("sl:2", "x - q"), ("sl:2", "x + q^-1"), ("sl:3", "x - q"),
+    ("sl:3", "x + q^-1"), ("sl:4", "x - q"), ("sl:4", "x + q^-1"),
+    ("adjoint", "x - q^2")])
+def test_image_rank_agrees_with_rank_mod_p(spec, poly):
+    f = parse_poly(poly)
+    assert len(relations_from_image(_space(spec), f)) == \
+        _image_rank_mod_p(_space(spec), f, _q0(1))
+
+
+@pytest.mark.parametrize("spec", ["sl:2", "sl:3", "adjoint"])
+def test_frt_rank_agrees_with_rank_mod_p(spec):
+    pres = frt_relations(_space(spec))
+    assert pres.rank == len(pres.relations) == \
+        _frt_rank_mod_p(_space(spec), _q0(2))
+
+
+_ROOTS = ["q", "-q^-1", "1", "-1", "q^2", "-q^-2", "2", "1/2", "(q + 1)/2"]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_seeded_quadratic_image_rank_agrees_with_rank_mod_p(seed):
+    rng = random.Random(seed)
+    spec = rng.choice(["sl:2", "sl:3", "adjoint"])
+    f = parse_poly(f"({rng.choice(['x - q', 'x + q^-1'])})"
+                   f"*(x - ({rng.choice(_ROOTS)}))")
+    assert len(relations_from_image(_space(spec), f)) == \
+        _image_rank_mod_p(_space(spec), f, _q0(seed))
 
 
 # --- pivot rule ---------------------------------------------------------------

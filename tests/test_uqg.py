@@ -386,15 +386,6 @@ def test_action_inputs_are_refused_with_value_error(sl2):
         act_on_quotient(rep, rs, unknown, (0,))
 
 
-def test_iterated_terms_refuse_k_below_one(sl2):
-    rep, _ = sl2
-    e1 = Gen("E", 0)
-    assert rep.coalgebra().iterated_terms(e1, 1) == [(((e1,),), ONE)]
-    for k in (0, -1):
-        with pytest.raises(ValueError, match=f"got {k}"):
-            rep.coalgebra().iterated_terms(e1, k)
-
-
 def test_invalid_coalgebra_tables_rejected():
     # delta(a) = a (x) a with eps(a) = 0 violates the counit law
     with pytest.raises(ValueError):

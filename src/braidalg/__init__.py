@@ -7,9 +7,9 @@ between the two."""
 from .scalar import (LaurentPoly, Scalar, ScalarParseError, ONE, Q, ZERO,
                      parse_poly, parse_scalar, q_binomial, q_integer)
 from .linalg import (BraidCheck, BraidedSpace, BraidEquationError,
-                     BraidingExtension, SymMatrix, check_braid,
-                     extend_braiding, flip_matrix, image_subspace, invert,
-                     kron, kron_all, minimal_poly, solve_commutant)
+                     SymMatrix, check_braid, extend_braiding, flip_matrix,
+                     image_subspace, invert, kron, minimal_poly,
+                     solve_commutant)
 from .ncalg import (DegreeBoundError, NCPoly, RelationSet, RewriteSystem,
                     WordOrder, complete_rewrite, hilbert, hilbert_oracle,
                     relations_from_image)
@@ -29,10 +29,9 @@ from .report import CheckItem, Report
 __all__ = [
     "LaurentPoly", "Scalar", "ScalarParseError", "ONE", "Q", "ZERO",
     "parse_poly", "parse_scalar", "q_binomial", "q_integer",
-    "BraidCheck", "BraidedSpace", "BraidEquationError", "BraidingExtension",
-    "SymMatrix", "check_braid", "extend_braiding", "flip_matrix",
-    "image_subspace", "invert", "kron", "kron_all", "minimal_poly",
-    "solve_commutant",
+    "BraidCheck", "BraidedSpace", "BraidEquationError", "SymMatrix",
+    "check_braid", "extend_braiding", "flip_matrix", "image_subspace",
+    "invert", "kron", "minimal_poly", "solve_commutant",
     "DegreeBoundError", "NCPoly", "RelationSet", "RewriteSystem", "WordOrder",
     "complete_rewrite", "hilbert", "hilbert_oracle", "relations_from_image",
     "CartanData", "Gen", "GeneratorCoalgebra", "Representation",

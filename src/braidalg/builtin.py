@@ -102,8 +102,8 @@ def adjoint_sl2():
                                          basis, 4)
               for kind in ("E", "F", "K")}
     pair_basis = [vec_kron(bi, bj, 4) for bi in basis for bj in basis]
-    braiding = _restrict_to(extend_braiding(vector_space, 2, 2).operator,
-                            pair_basis, 16)
+    braiding = _restrict_to(extend_braiding(vector_space, 2, 2), pair_basis,
+                            16)
     # The pair basis b_i b_j is a weight basis, lowest weight first, and the
     # braiding keeps weights and is one scalar on each summand of
     # L(4) + L(2) + L(0).  So b0 b0 spans the lowest weight of L(4), and the
@@ -128,12 +128,9 @@ def _eigenspace(m: SymMatrix, c: Scalar) -> list[dict]:
 def _restrict_to(op: SymMatrix, basis: list[dict], dim: int) -> SymMatrix:
     """Express the action of `op` on span(basis) in that basis; raises if
     the span is not invariant."""
-    cols = []
-    for vec in basis:
-        coeffs = linear_solve(basis, op.apply(vec), dim)
-        if coeffs is None:
-            raise AssertionError("subspace is not invariant under the operator")
-        cols.append({i: c for i, c in enumerate(coeffs) if not c.is_zero()})
+    cols = linear_solve(basis, map(op.apply, basis), dim)
+    if None in cols:
+        raise AssertionError("subspace is not invariant under the operator")
     return SymMatrix.from_columns(len(basis), cols)
 
 

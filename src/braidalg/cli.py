@@ -96,7 +96,7 @@ def cmd_validate_r(args) -> int:
     if result.holds:
         lines.append("braid equation: holds")
     else:
-        lines.append(f"braid equation: FAILS ({result.describe(dim)})")
+        lines.append(f"braid equation: FAILS ({result.describe()})")
         payload["counterexample"] = list(result.counterexample)
     if args.show_minimal_poly and result.holds:
         mp = minimal_poly(braiding)

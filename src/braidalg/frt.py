@@ -18,8 +18,7 @@ from itertools import product
 
 from .linalg import (BraidedSpace, Echelon, SymMatrix, kron, vec_add_scaled,
                      vec_kron)
-from .ncalg import (NCPoly, RelationSet, complete_rewrite, hilbert,
-                    word_index)
+from .ncalg import RelationSet, complete_rewrite, hilbert, word_index
 from .report import Report
 from .scalar import ONE, ZERO, Scalar
 from .uqg import GeneratorCoalgebra, Representation
@@ -153,12 +152,6 @@ class PairingTable:
         row, col = _entry_index(t_word, self.n)
         return self.column(tuple(u_word), len(t_word), col).get(row, ZERO)
 
-    def pair_poly(self, u_word, p: NCPoly) -> Scalar:
-        out = ZERO
-        for w, c in p.coeffs.items():
-            out = out + self.pair(u_word, w) * c
-        return out
-
 
 def _entry_index(t_word, n: int) -> tuple[int, int]:
     """(i-vector, j-vector) of t_{i1 j1} ... t_{ik jk}, each flattened to an
@@ -181,9 +174,9 @@ def pairing(rep: Representation, u_word, t_word) -> Scalar:
 
 
 def action_span_basis(table: PairingTable, max_degree: int):
-    """Yield generator words u with |u| <= max_degree whose actions X_u on
-    V (x) V form a basis of span{X_u : |u| <= max_degree}, each word as it
-    raises the rank of one echelon form of the flattened operators.
+    """Yield (u, X_u) for the generator words u with |u| <= max_degree whose
+    actions X_u on V (x) V form a basis of span{X_u : |u| <= max_degree},
+    each word as its `vec` raises the rank of one echelon form.
 
     Layer 0 is the empty word (the identity); layer l + 1 is g u for every
     generator g and every word u of layer l that raised the rank.  This
@@ -202,11 +195,11 @@ def action_span_basis(table: PairingTable, max_degree: int):
     for _ in range(max_degree + 1):
         grew = []
         for u in layer:
-            flat = {col * size + row: v for col in range(size)
-                    for row, v in table.column(u, 2, col).items()}
-            if span.insert(flat):
+            op = SymMatrix.from_columns(size, (table.column(u, 2, col)
+                                               for col in range(size)))
+            if span.insert(op.vec()):
                 grew.append(u)
-                yield u
+                yield u, op
         if not grew:
             return
         layer = [(g,) + u for u in grew for g in gens]
@@ -233,6 +226,21 @@ def _word_operators(rep: Representation, max_degree: int):
             yield u, prefix[-1]
 
 
+def _nonzero_pairings(word_operators, positions):
+    """Yield (u, relation index, <u, r>) for each non-zero pairing of a word
+    operator X_u on V (x) V with a relation r, given by `positions` as its
+    ((row, col), coefficient) terms: <u, r> = sum c * X_u[row, col]."""
+    for u, op in word_operators:
+        for idx, terms in enumerate(positions):
+            value = ZERO
+            for (row, col), c in terms:
+                entry = op.columns[col].get(row)
+                if entry is not None:
+                    value = value + entry * c
+            if not value.is_zero():
+                yield u, idx, value
+
+
 def check_duality(rep: Representation, space: BraidedSpace,
                   max_degree: int = 3, samples: int = 200,
                   seed: int = 0) -> Report:
@@ -243,9 +251,9 @@ def check_duality(rep: Representation, space: BraidedSpace,
 
     Annihilation is certified on the words of `action_span_basis`; only if
     one of them pairs to non-zero are all words enumerated, to count the
-    failures, with the operators of `_word_operators`.  A degree bound or
-    sample count below 1, or an empty relation set, is refused: the check
-    would then cover nothing."""
+    failures, with the operators of `_word_operators`; `_nonzero_pairings`
+    pairs both streams.  A degree bound or sample count below 1, or an
+    empty relation set, is refused: the check would then cover nothing."""
     if max_degree < 1:
         raise ValueError(f"duality check needs max_degree >= 1, got {max_degree}")
     if samples < 1:
@@ -262,25 +270,18 @@ def check_duality(rep: Representation, space: BraidedSpace,
     bad = 0
     witness = ""
     relations = pres.relations.relations
-    if not all(table.pair_poly(u, rel).is_zero()
-               for u in action_span_basis(table, max_degree)
-               for rel in relations):
+    positions = [[(_entry_index(w, space.dim), c)
+                  for w, c in rel.coeffs.items()] for rel in relations]
+    if next(_nonzero_pairings(action_span_basis(table, max_degree),
+                              positions), None) is not None:
         # recount over every word, in the order of increasing length, so the
         # failure count and the first witness are those of the full check
-        positions = [[(_entry_index(w, space.dim), c)
-                      for w, c in rel.coeffs.items()] for rel in relations]
-        for u, op in _word_operators(rep, max_degree):
-            for idx, terms in enumerate(positions):
-                pairing_value = ZERO
-                for (row, col), c in terms:
-                    pairing_value = (pairing_value
-                                     + op.columns[col].get(row, ZERO) * c)
-                if not pairing_value.is_zero():
-                    bad += 1
-                    if not witness:
-                        uname = " ".join(str(g) for g in u) if u else "1"
-                        witness = (f"<{uname}, relation {idx + 1}> = "
-                                   f"{pairing_value}")
+        for u, idx, value in _nonzero_pairings(
+                _word_operators(rep, max_degree), positions):
+            bad += 1
+            if not witness:
+                uname = " ".join(str(g) for g in u) if u else "1"
+                witness = f"<{uname}, relation {idx + 1}> = {value}"
     word_count = sum(len(gens) ** length for length in range(max_degree + 1))
     report.add(
         f"annihilation <u, r> = 0 for {word_count} words x "
@@ -325,7 +326,7 @@ def check_duality(rep: Representation, space: BraidedSpace,
         b = random_t(max_degree - asplit, 0)
         lhs = table.pair(u, a + b)
         rhs = ZERO
-        for left, right, c in rep.coalgebra().delta_word(u):
+        for left, right, c in rep.presentation.coalgebra.delta_word(u):
             rhs = rhs + table.pair(left, a) * table.pair(right, b) * c
         if lhs != rhs:
             coproduct_ok = False

@@ -15,7 +15,6 @@ function.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 from .scalar import ONE, ZERO, Scalar
 
@@ -98,6 +97,13 @@ class SymMatrix:
     def is_zero(self) -> bool:
         return not any(self.columns)
 
+    def vec(self) -> dict:
+        """The column-stacking vectorization: entry (i, j) at index
+        j * rows + i, as a sparse vector."""
+        r = self.rows
+        return {j * r + i: v for j, col in enumerate(self.columns)
+                for i, v in col.items()}
+
     def apply(self, vec: dict) -> dict:
         """The image of a sparse column vector {index: Scalar}."""
         out: dict = {}
@@ -162,10 +168,6 @@ def kron(a: SymMatrix, b: SymMatrix) -> SymMatrix:
         vec_kron(ca, cb, r) for ca in a.columns for cb in b.columns))
 
 
-def kron_all(mats) -> SymMatrix:
-    return reduce(kron, mats)
-
-
 def combine(rows: int, cols: int, terms) -> SymMatrix:
     """sum c * m over the (m, c) pairs in `terms`, each rows x cols."""
     acc: list[dict] = [{} for _ in range(cols)]
@@ -190,9 +192,13 @@ def flip_matrix(n: int) -> SymMatrix:
 
 def vec_add_scaled(target: dict, src: dict, c: Scalar):
     """target += c * src in place, dropping the entries that cancel; a unit
-    `c` is not multiplied, so a plain sum costs no product."""
+    `c` is not multiplied, and a first write is stored without an addition,
+    so a plain copy costs no arithmetic."""
     for i, v in src.items():
-        nv = target.get(i, ZERO) + (v if c is ONE else c * v)
+        nv = v if c is ONE else c * v
+        old = target.get(i)
+        if old is not None:
+            nv = old + nv
         if nv.is_zero():
             target.pop(i, None)
         else:
@@ -250,21 +256,19 @@ class Echelon:
         return [self.pivot_rows[p] for p in sorted(self.pivot_rows)]
 
 
-def linear_solve(basis: list[dict], target: dict, dim: int) -> list[Scalar] | None:
-    """Coefficients c with target = sum c_i * basis_i, or None.  `dim` must
-    exceed every index used in the vectors."""
+def linear_solve(basis: list[dict], targets, dim: int) -> list:
+    """For each target, sparse coefficients {i: c_i} with target =
+    sum c_i * basis_i, or None when it lies outside the span.  `dim` must
+    exceed every index used in the vectors.
+
+    Basis vector i is tagged with 1 at index dim + i in one echelon, so a
+    target in the span reduces to tags alone: minus its coefficients."""
     ech = Echelon()
     for i, vec in enumerate(basis):
-        aug = dict(vec)
-        aug[dim + i] = ONE
-        ech.insert(aug)
-    res = ech.reduce(dict(target))
-    if any(i < dim for i in res):
-        return None
-    coeffs = [ZERO] * len(basis)
-    for i, v in res.items():
-        coeffs[i - dim] = -v
-    return coeffs
+        ech.insert({**vec, dim + i: ONE})
+    return [None if any(i < dim for i in res)
+            else {i - dim: -v for i, v in res.items()}
+            for res in map(ech.reduce, targets)]
 
 
 def nullspace(rows: list[dict], nvars: int) -> list[dict]:
@@ -290,17 +294,9 @@ def invert(m: SymMatrix) -> SymMatrix | None:
     if not m.is_square():
         raise ValueError("inverse of a non-square matrix")
     n = m.rows
-    ech = Echelon()
-    for j, col in enumerate(m.columns):
-        aug = dict(col)
-        aug[n + j] = ONE
-        ech.insert(aug)
-    if any(p >= n for p in ech.pivot_rows) or len(ech.pivot_rows) < n:
-        return None
-    # pivot row p reads e_p = M . tail_p, so tail_p is column p of the inverse
-    return SymMatrix.from_columns(n, (
-        {i - n: v for i, v in ech.pivot_rows[p].items() if i >= n}
-        for p in range(n)))
+    # column j of the inverse solves M x = e_j
+    cols = linear_solve(m.columns, ({j: ONE} for j in range(n)), n)
+    return None if None in cols else SymMatrix.from_columns(n, cols)
 
 
 def image_subspace(m: SymMatrix) -> list[tuple]:
@@ -338,27 +334,24 @@ def solve_commutant(actions: list[SymMatrix]) -> list[SymMatrix]:
 
 
 def minimal_poly(m: SymMatrix) -> list[Scalar]:
-    """Monic minimal polynomial as ascending coefficients [c0, ..., 1],
-    computed by iterative linear dependence of powers."""
+    """Monic minimal polynomial as ascending coefficients [c0, ..., 1].
+
+    Each power M^k goes into one echelon as vec(M^k) tagged with 1 at index
+    n^2 + k.  The first power whose residual holds tags alone is the first
+    that depends on the lower ones: the residual is sum c_i vec(M^i) with
+    c_k = 1 and no vec entries left, so its tags are the coefficients."""
     if not m.is_square():
         raise ValueError("minimal polynomial of a non-square matrix")
-    n = m.rows
-    dim = n * n
-
-    def flatten(mat: SymMatrix) -> dict:
-        return {i * n + j: v for j, col in enumerate(mat.columns)
-                for i, v in col.items()}
-
-    powers = [SymMatrix.identity(n)]
-    vecs = [flatten(powers[0])]
-    while True:
-        nxt = powers[-1] * m
-        target = flatten(nxt)
-        coeffs = linear_solve(vecs, target, dim)
-        if coeffs is not None:
-            return [-c for c in coeffs] + [ONE]
-        powers.append(nxt)
-        vecs.append(target)
+    dim = m.rows * m.rows
+    ech = Echelon()
+    power = SymMatrix.identity(m.rows)
+    # by Cayley-Hamilton the degree is at most the size
+    for k in range(m.rows + 1):
+        res = ech.reduce({**power.vec(), dim + k: ONE})
+        if min(res) >= dim:
+            return [res.get(dim + i, ZERO) for i in range(k + 1)]
+        ech.insert(res)
+        power = power * m
 
 
 def eval_poly_at_matrix(coeffs: list[Scalar], m: SymMatrix) -> SymMatrix:
@@ -382,7 +375,7 @@ class BraidCheck:
     holds: bool
     counterexample: tuple | None = None
 
-    def describe(self, dim: int) -> str:
+    def describe(self) -> str:
         if self.holds:
             return "braid equation holds"
         i, j, k = self.counterexample
@@ -438,7 +431,7 @@ class BraidedSpace:
         self.braiding = rtt * flip_matrix(n)
         check = check_braid(self.braiding)
         if not check.holds:
-            raise BraidEquationError(check.describe(n))
+            raise BraidEquationError(check.describe())
         inv = invert(self.braiding)
         if inv is None:
             raise ValueError("braiding is not invertible")
@@ -453,20 +446,10 @@ class BraidedSpace:
         return f"BraidedSpace(dim={self.dim})"
 
 
-@dataclass(frozen=True)
-class BraidingExtension:
-    """The operator that moves the first m tensor factors past the last n."""
-
-    space: BraidedSpace
-    m: int
-    n: int
-    operator: SymMatrix
-
-
-def extend_braiding(space: BraidedSpace, m: int, n: int) -> BraidingExtension:
-    """Build the degree-(m, n) braiding extension from adjacent crossings:
-    strand i of the left block crosses the n right strands in turn,
-    innermost strand (i = m) first."""
+def extend_braiding(space: BraidedSpace, m: int, n: int) -> SymMatrix:
+    """The operator that moves the first m tensor factors past the last n,
+    built from adjacent crossings: strand i of the left block crosses the n
+    right strands in turn, innermost strand (i = m) first."""
     if m < 0 or n < 0:
         raise ValueError("degrees must be non-negative")
     positions = [p for i in range(m, 0, -1) for p in range(i, i + n)]
@@ -474,7 +457,7 @@ def extend_braiding(space: BraidedSpace, m: int, n: int) -> BraidingExtension:
     op = SymMatrix.identity(d ** total)
     for p in positions:
         # the braiding on the adjacent factors (p, p + 1), 1-based
-        crossing = kron_all((SymMatrix.identity(d ** (p - 1)), space.braiding,
-                             SymMatrix.identity(d ** (total - p - 1))))
+        crossing = kron(kron(SymMatrix.identity(d ** (p - 1)), space.braiding),
+                        SymMatrix.identity(d ** (total - p - 1)))
         op = crossing * op
-    return BraidingExtension(space, m, n, op)
+    return op

@@ -3,9 +3,8 @@ sets, bounded-degree overlap completion of rewrite systems, normal forms and
 graded dimensions of quotients of tensor algebras.
 
 Words are tuples of 0-based generator indices.  The monomial order is
-degree-lexicographic with a declared variable precedence (default: lower
-index = higher precedence, so relations orient as x_i x_j -> c x_j x_i for
-i < j).
+degree-lexicographic with lower indices ranked higher, so relations orient
+as x_i x_j -> c x_j x_i for i < j.
 """
 
 from __future__ import annotations
@@ -24,26 +23,16 @@ class DegreeBoundError(ValueError):
 
 
 class WordOrder:
-    """Degree-lexicographic order on words with a variable precedence.
+    """Degree-lexicographic order on words, lower indices ranked higher.
 
-    `precedence[r]` is the variable with rank r (rank 0 highest).  The sort
-    key is ordered so that smaller keys mean greater words.
+    The sort key is ordered so that smaller keys mean greater words.
     """
 
-    def __init__(self, alphabet: int, precedence=None):
-        if precedence is None:
-            precedence = tuple(range(alphabet))
-        precedence = tuple(precedence)
-        if sorted(precedence) != list(range(alphabet)):
-            raise ValueError("precedence must be a permutation of the alphabet")
+    def __init__(self, alphabet: int):
         self.alphabet = alphabet
-        self.precedence = precedence
-        self._rank = [0] * alphabet
-        for r, v in enumerate(precedence):
-            self._rank[v] = r
 
     def key(self, word: Word):
-        return (-len(word), tuple(self._rank[i] for i in word))
+        return (-len(word), word)
 
     def greater(self, a: Word, b: Word) -> bool:
         return self.key(a) < self.key(b)
@@ -76,11 +65,8 @@ class NCPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def is_homogeneous(self, d: int | None = None) -> bool:
-        lengths = {len(w) for w in self.coeffs}
-        if d is not None:
-            return lengths <= {d}
-        return len(lengths) <= 1
+    def is_homogeneous(self, d: int) -> bool:
+        return all(len(w) == d for w in self.coeffs)
 
     @classmethod
     def _of(cls, coeffs: dict) -> "NCPoly":
@@ -95,10 +81,10 @@ class NCPoly:
         return NCPoly._of(c)
 
     def __sub__(self, other: "NCPoly") -> "NCPoly":
-        return self + other.scale(-ONE)
+        return self + (-other)
 
     def __neg__(self) -> "NCPoly":
-        return self.scale(-ONE)
+        return NCPoly._of({w: -v for w, v in self.coeffs.items()})
 
     def scale(self, c: Scalar) -> "NCPoly":
         if c.is_zero():

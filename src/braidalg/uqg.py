@@ -423,9 +423,6 @@ class Representation:
         return combine(self.dim, self.dim, (
             (self.actions.operator(w, 1), c) for w, c in poly.items()))
 
-    def coalgebra(self) -> GeneratorCoalgebra:
-        return self.presentation.coalgebra
-
 
 def check_representation(rep: Representation) -> Report:
     """Evaluate every defining relation on the assignment; failures carry
@@ -448,14 +445,11 @@ def generator_independence(rep: Representation) -> Report:
     the identity), while the extended actions separate them."""
     ech = Echelon()
     independent = True
+    offset = rep.dim ** 2
     for u in [()] + [(g,) for g in rep.presentation.generators]:
-        vec = {}
-        offset = 0
-        for op in (rep.actions.operator(u, 1), rep.actions.operator(u, 2)):
-            for j, col in enumerate(op.columns):
-                for i, v in col.items():
-                    vec[offset + i * op.rows + j] = v
-            offset += op.rows * op.rows
+        vec = rep.actions.operator(u, 1).vec()
+        vec.update((offset + i, v)
+                   for i, v in rep.actions.operator(u, 2).vec().items())
         if not ech.insert(vec):
             independent = False
     report = Report("generator linear independence")
@@ -492,8 +486,8 @@ def check_preserves_R(rep: Representation, space: BraidedSpace) -> Report:
         ok = lhs == rhs
         report.add(f"{g} commutes with braiding on degree 2", ok,
                    "" if ok else f"residual:\n{lhs - rhs}")
-    psi21 = extend_braiding(space, 2, 1).operator
-    psi12 = extend_braiding(space, 1, 2).operator
+    psi21 = extend_braiding(space, 2, 1)
+    psi12 = extend_braiding(space, 1, 2)
     for g in rep.presentation.generators:
         x3 = rep.actions.extended(g, 3)
         ok = psi21 * x3 == x3 * psi21 and psi12 * x3 == x3 * psi12

@@ -84,7 +84,7 @@ def test_act_matches_dense_columns():
 
 _SL2 = builtin_sl(2)[0]
 _SL2_GENS = list(_SL2.presentation.generators)
-_SL2_REFERENCE = {(g, k): _dense_extended(_SL2.coalgebra(), _SL2.assign, g, k,
+_SL2_REFERENCE = {(g, k): _dense_extended(_SL2.presentation.coalgebra, _SL2.assign, g, k,
                                           2)
                   for g in _SL2_GENS for k in range(4)}
 

@@ -5,9 +5,11 @@ import random
 import pytest
 
 from braidalg.builtin import builtin_sl
-from braidalg.frt import (FRTPresentation, PairingTable, action_span_basis,
-                          check_duality, frt_coideal_check, frt_hilbert,
-                          frt_relations, pairing, t_names)
+from braidalg.frt import (FRTPresentation, PairingTable, _entry_index,
+                          _nonzero_pairings, _word_operators,
+                          action_span_basis, check_duality,
+                          frt_coideal_check, frt_hilbert, frt_relations,
+                          pairing, t_names)
 from braidalg.linalg import BraidedSpace, SymMatrix
 from braidalg.ncalg import NCPoly, RelationSet, relations_from_image
 from braidalg.scalar import ONE, Q, ZERO, Scalar, parse_poly
@@ -186,13 +188,36 @@ def test_pairing_values(sl2):
 
 
 def test_pairing_table_is_bilinear_cache(sl2):
+    # on a perturbed sl:2 some relations pair to non-zero; both operator
+    # streams must pair exactly as the linear extension of `pairing`
     rep, space = sl2
-    table = PairingTable(rep, 2)
-    p = NCPoly({(0, 1): ONE, (1, 0): -Q})
-    value = table.pair_poly((Gen("E", 0),), p)
-    direct = pairing(rep, (Gen("E", 0),), (0, 1)) - \
-        Q * pairing(rep, (Gen("E", 0),), (1, 0))
-    assert value == direct
+    assign = dict(rep.assign)
+    entries = [list(row) for row in assign[Gen("E", 0)].entries]
+    entries[0][0] = Q
+    assign[Gen("E", 0)] = SymMatrix(entries)
+    mutated = Representation(rep.presentation, assign, name="perturbed")
+    rels = frt_relations(space).relations.relations
+    positions = [[(_entry_index(w, 2), c) for w, c in rel.coeffs.items()]
+                 for rel in rels]
+
+    def reference(words):
+        out = []
+        for u in words:
+            for idx, rel in enumerate(rels):
+                value = ZERO
+                for w, c in rel.coeffs.items():
+                    value = value + c * pairing(mutated, u, w)
+                if not value.is_zero():
+                    out.append((u, idx, value))
+        return out
+
+    streams = (_word_operators(mutated, 2),
+               action_span_basis(PairingTable(mutated, 2), 2))
+    for stream in streams:
+        ops = list(stream)
+        expected = reference([u for u, _ in ops])
+        assert expected
+        assert list(_nonzero_pairings(ops, positions)) == expected
 
 
 def test_duality_sl2(sl2):

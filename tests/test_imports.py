@@ -1,9 +1,12 @@
 """Every name a braidalg module imports is used in that module (the
-package's `__init__.py` is left out: its imports are re-exports), and every
-private top-level function or class is used in its module."""
+package's `__init__.py` is left out: its imports are re-exports, and
+`__all__` lists exactly those), and every private top-level function or
+class is used in its module."""
 
 import ast
 from pathlib import Path
+
+import braidalg
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "braidalg"
 
@@ -71,3 +74,10 @@ def test_no_unreferenced_private_names_in_braidalg():
     found = {p.name: unreferenced_private_names(p.read_text(encoding="utf-8"))
              for p in modules}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_all_lists_exactly_the_reexports():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert sorted(braidalg.__all__) == sorted(imported)

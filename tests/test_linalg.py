@@ -2,7 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
+from sympy.polys.matrices import DomainMatrix
 
 from braidalg.linalg import (BraidedSpace, BraidEquationError, SymMatrix,
                              check_braid, eval_poly_at_matrix,
@@ -125,15 +127,15 @@ def test_rank_split_is_diagonalizable(sl2, sl3, sl4):
 
 def test_extend_braiding_anchors(sl2):
     _, space = sl2
-    assert extend_braiding(space, 1, 1).operator == space.braiding
-    assert extend_braiding(space, 0, 3).operator == SymMatrix.identity(8)
-    assert extend_braiding(space, 2, 0).operator == SymMatrix.identity(4)
+    assert extend_braiding(space, 1, 1) == space.braiding
+    assert extend_braiding(space, 0, 3) == SymMatrix.identity(8)
+    assert extend_braiding(space, 2, 0) == SymMatrix.identity(4)
     i2 = SymMatrix.identity(2)
     psi = space.braiding
     # (2,1) factors as (psi x 1)(1 x psi), adjacent pairs applied in order
-    assert extend_braiding(space, 2, 1).operator == \
+    assert extend_braiding(space, 2, 1) == \
         kron(psi, i2) * kron(i2, psi)
-    assert extend_braiding(space, 1, 2).operator == \
+    assert extend_braiding(space, 1, 2) == \
         kron(i2, psi) * kron(psi, i2)
 
 
@@ -145,7 +147,7 @@ def test_extend_braiding_pair_orders_agree(sl2, sl3):
         for m, n in ((2, 1), (1, 2), (2, 2)):
             right = [p for j in range(1, n + 1)
                      for p in range(m + j - 1, j - 1, -1)]
-            assert extend_braiding(space, m, n).operator == \
+            assert extend_braiding(space, m, n) == \
                 _crossings(space, right[::-1], m + n)
 
 
@@ -169,13 +171,13 @@ def test_braiding_consistency_with_concatenation(sl2, sl3):
         triples = [(a, b, c) for a in range(3) for b in range(3)
                    for c in range(3) if 0 < a + b + c <= 3]
         for a, b, c in triples:
-            combined = extend_braiding(space, a + b, c).operator
-            factored = (_kron_id(space, extend_braiding(space, a, c).operator, 0, b)
-                        * _kron_id(space, extend_braiding(space, b, c).operator, a, 0))
+            combined = extend_braiding(space, a + b, c)
+            factored = (_kron_id(space, extend_braiding(space, a, c), 0, b)
+                        * _kron_id(space, extend_braiding(space, b, c), a, 0))
             assert combined == factored, (a, b, c)
-            combined2 = extend_braiding(space, a, b + c).operator
-            factored2 = (_kron_id(space, extend_braiding(space, a, c).operator, b, 0)
-                         * _kron_id(space, extend_braiding(space, a, b).operator, 0, c))
+            combined2 = extend_braiding(space, a, b + c)
+            factored2 = (_kron_id(space, extend_braiding(space, a, c), b, 0)
+                         * _kron_id(space, extend_braiding(space, a, b), 0, c))
             assert combined2 == factored2, (a, b, c)
 
 
@@ -201,7 +203,7 @@ def test_solve_commutant_sl2(sl2):
     from braidalg.linalg import linear_solve
     target = {i * 4 + j: v for i, row in enumerate(space.braiding.entries)
               for j, v in enumerate(row) if not v.is_zero()}
-    assert linear_solve(flat, target, 16) is not None
+    assert linear_solve(flat, [target], 16) != [None]
 
 
 def test_invert_singular_returns_none():
@@ -240,7 +242,7 @@ def test_extend_braiding_equals_dense_crossings(sl2):
     expected = {(2, 2): _crossings(space, (2, 1, 3, 2), 4),
                 (3, 1): _crossings(space, (1, 2, 3), 4)}
     for (m, n), dense in expected.items():
-        assert extend_braiding(space, m, n).operator == dense, (m, n)
+        assert extend_braiding(space, m, n) == dense, (m, n)
 
 
 _scalars = st.builds(lambda c, e: Scalar(LaurentPoly({e: Fraction(c)})),
@@ -259,11 +261,11 @@ def test_echelon_reduce_clears_pivots_within_the_span(basis, vec):
     assert not set(reduced) & set(ech.pivot_rows)
     diff = dict(vec)
     vec_add_scaled(diff, reduced, -ONE)
-    coeffs = linear_solve(basis, diff, 6)
+    coeffs, = linear_solve(basis, [diff], 6)
     assert coeffs is not None
     combo: dict = {}
-    for b, c in zip(basis, coeffs):
-        vec_add_scaled(combo, b, c)
+    for i, c in coeffs.items():
+        vec_add_scaled(combo, basis[i], c)
     assert combo == diff
 
 
@@ -276,6 +278,93 @@ def test_sparse_braiding_and_extensions_match_dense_views():
             for n in range(3):
                 ext = extend_braiding(space, m, n)
                 # no stored zeros: the sparse form is the canonical one
-                assert SymMatrix(ext.operator.entries) == ext.operator
-                assert all(not v.is_zero() for col in ext.operator.columns
+                assert SymMatrix(ext.entries) == ext
+                assert all(not v.is_zero() for col in ext.columns
                            for v in col.values())
+
+
+def test_vec_stacks_columns():
+    # entry (i, j) of a 3x2 matrix sits at index j * 3 + i
+    m = SymMatrix([[ONE, Q], [ZERO, -ONE], [Q ** 2, ZERO]])
+    assert m.vec() == {0: ONE, 2: Q ** 2, 3: Q, 4: -ONE}
+
+
+# --- sympy's DomainMatrix over ZZ(q) as an independent oracle ---------------
+
+_q = sympy.Symbol("q")
+_K = sympy.ZZ.frac_field(_q)
+_pool = st.sampled_from([ZERO, ZERO, ONE, -ONE, Q, Q ** -1, Q - Q ** -1,
+                         Scalar.from_int(2), ONE / (Q + ONE)])
+_squares = st.integers(1, 3).flatmap(lambda n: st.lists(
+    st.lists(_pool, min_size=n, max_size=n), min_size=n, max_size=n)).map(
+    SymMatrix)
+
+
+def _domain_scalar(x: Scalar):
+    def laurent(p):
+        return sum((sympy.Rational(v.numerator, v.denominator) * _q ** e
+                    for e, v in p.coeffs.items()), sympy.Integer(0))
+    return _K.from_sympy(laurent(x.num) / laurent(x.den))
+
+
+def _domain(m: SymMatrix) -> DomainMatrix:
+    return DomainMatrix([[_domain_scalar(e) for e in row] for row in m.entries],
+                        (m.rows, m.cols), _K)
+
+
+def _domain_columns(vectors, dim: int) -> DomainMatrix:
+    return _domain(SymMatrix.from_columns(dim, vectors))
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=_squares)
+def test_invert_agrees_with_sympy(m):
+    ref = _domain(m)
+    inv = invert(m)
+    if ref.rank() < m.rows:
+        assert inv is None
+    else:
+        assert inv is not None and _domain(inv) == ref.inv()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_linear_solve_agrees_with_sympy(data):
+    dim = data.draw(st.integers(1, 3))
+    vectors = st.lists(_pool, min_size=dim, max_size=dim).map(
+        lambda v: {i: c for i, c in enumerate(v) if not c.is_zero()})
+    basis = data.draw(st.lists(vectors, min_size=1, max_size=3))
+    targets = []
+    for _ in range(data.draw(st.integers(1, 2))):
+        combo: dict = {}
+        for b in basis:
+            vec_add_scaled(combo, b, data.draw(_pool))
+        targets.append(combo)
+    targets += data.draw(st.lists(vectors, max_size=3))
+    solutions = linear_solve(basis, targets, dim)
+    assert len(solutions) == len(targets)
+    ref = _domain_columns(basis, dim)
+    for target, coeffs in zip(targets, solutions):
+        t = _domain_columns([target], dim)
+        assert (coeffs is None) == (ref.hstack(t).rank() > ref.rank())
+        if coeffs is not None:
+            assert ref.matmul(_domain_columns([coeffs], len(basis))) == t
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=_squares)
+def test_minimal_poly_agrees_with_sympy(m):
+    mp = minimal_poly(m)
+    n = m.rows
+    powers = [_domain(SymMatrix.identity(n))]
+    for _ in range(n):
+        powers.append(powers[-1].matmul(_domain(m)))
+    # the degree is the rank of the flattened powers I, M, ..., M^n
+    flat = DomainMatrix([[e for row in p.to_list() for e in row]
+                         for p in powers], (n + 1, n * n), _K)
+    assert len(mp) - 1 == flat.rank()
+    assert mp[-1] == ONE
+    zero = value = _domain(SymMatrix.zeros(n))
+    for c, p in zip(mp, powers):
+        value = value + p.mul(_domain_scalar(c))
+    assert value == zero

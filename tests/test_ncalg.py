@@ -17,11 +17,6 @@ def test_word_order_default_orientation():
     assert order.leading({(0, 1): ONE, (1, 0): Q}) == (0, 1)
 
 
-def test_word_order_custom_precedence():
-    order = WordOrder(2, precedence=(1, 0))  # x2 ranked highest
-    assert order.greater((1, 0), (0, 1))
-
-
 def test_relations_from_image_sym(sl2):
     _, space = sl2
     rels = relations_from_image(space, parse_poly("x - q"))

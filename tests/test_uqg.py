@@ -71,7 +71,7 @@ def test_coproduct_tables():
 
 def test_generator_coalgebra_laws(sl2, sl3):
     for rep, _ in (sl2, sl3):
-        coalg = rep.coalgebra()
+        coalg = rep.presentation.coalgebra
         assert coalg.check_coassociativity().passed
         assert coalg.check_counit().passed
     classical = GeneratorCoalgebra.classical(["X1", "X2"])
@@ -159,7 +159,7 @@ def test_coproduct_action_values(sl2):
 def test_coproduct_action_degree_compatibility(sl2):
     # action at j+k splits through the coproduct at the matrix level
     rep, _ = sl2
-    coalg = rep.coalgebra()
+    coalg = rep.presentation.coalgebra
     for g in rep.presentation.generators:
         for j, k in ((1, 1), (1, 2), (2, 1)):
             total = coproduct_action(rep, g, j + k)

@@ -19,9 +19,8 @@ from .uqg import (CartanData, Gen, GeneratorCoalgebra, Representation,
                   check_measuring, check_preserves_R, check_representation,
                   coproduct_action, generator_independence,
                   presentation_from_cartan, word_action)
-from .frt import (FRTPresentation, PairingTable, action_span_basis,
-                  check_duality, frt_coideal_check, frt_hilbert,
-                  frt_relations, pairing)
+from .frt import (FRTPresentation, PairingTable, check_duality,
+                  frt_coideal_check, frt_hilbert, frt_relations, pairing)
 from .builtin import (adjoint_sl2, builtin_sl, classical_space,
                       sl2_lie_actions, sl_rtt_matrix, sp4_symmetric_relations)
 from .report import CheckItem, Report
@@ -39,8 +38,8 @@ __all__ = [
     "check_derivation_measuring", "check_ideal_preserved", "check_measuring",
     "check_preserves_R", "check_representation", "coproduct_action",
     "generator_independence", "presentation_from_cartan", "word_action",
-    "FRTPresentation", "PairingTable", "action_span_basis", "check_duality",
-    "frt_coideal_check", "frt_hilbert", "frt_relations", "pairing",
+    "FRTPresentation", "PairingTable", "check_duality", "frt_coideal_check",
+    "frt_hilbert", "frt_relations", "pairing",
     "adjoint_sl2", "builtin_sl", "classical_space", "sl2_lie_actions",
     "sl_rtt_matrix", "sp4_symmetric_relations",
     "CheckItem", "Report",

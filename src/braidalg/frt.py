@@ -3,7 +3,8 @@ relation generation from the twist-conjugated pair of operators on
 V* (x) V (x) V* (x) V, the coideal property of the relation space, graded
 dimensions of the quotient, and the finite-degree dual pairing with
 generator actions that realizes the duality with braiding-preserving
-transformations.
+transformations: a generator word annihilates the relations exactly when
+its action on V (x) V commutes with the braiding.
 
 The infinite-dimensional duals are never materialized; every statement is
 truncated at a caller-supplied degree bound.
@@ -16,8 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 
-from .linalg import (BraidedSpace, Echelon, SymMatrix, kron, vec_add_scaled,
-                     vec_kron)
+from .linalg import BraidedSpace, SymMatrix, kron, vec_add_scaled, vec_kron
 from .ncalg import RelationSet, complete_rewrite, hilbert, word_index
 from .report import Report
 from .scalar import ONE, ZERO, Scalar
@@ -173,38 +173,6 @@ def pairing(rep: Representation, u_word, t_word) -> Scalar:
     return PairingTable(rep, n).pair(tuple(u_word), tuple(t_word))
 
 
-def action_span_basis(table: PairingTable, max_degree: int):
-    """Yield (u, X_u) for the generator words u with |u| <= max_degree whose
-    actions X_u on V (x) V form a basis of span{X_u : |u| <= max_degree},
-    each word as its `vec` raises the rank of one echelon form.
-
-    Layer 0 is the empty word (the identity); layer l + 1 is g u for every
-    generator g and every word u of layer l that raised the rank.  This
-    is exact: let S_l be the span of the X_u with |u| <= l and N_l the span
-    of the layer-l words that raised the rank, so S_l = S_{l-1} + N_l.
-    Then X_g S_{l-1} lies in S_l, and hence
-    S_{l+1} = S_l + sum_g X_g N_l.
-    A layer that adds nothing ends the growth: the span is saturated.  A
-    linear functional of X_u, such as u -> <u, r> for a degree-2 t-element
-    r, vanishes on every word up to the bound exactly when it vanishes on
-    the yielded words."""
-    gens = table.rep.presentation.generators
-    size = table.n ** 2
-    span = Echelon()
-    layer = [()]
-    for _ in range(max_degree + 1):
-        grew = []
-        for u in layer:
-            op = SymMatrix.from_columns(size, (table.column(u, 2, col)
-                                               for col in range(size)))
-            if span.insert(op.vec()):
-                grew.append(u)
-                yield u, op
-        if not grew:
-            return
-        layer = [(g,) + u for u in grew for g in gens]
-
-
 def _word_operators(rep: Representation, max_degree: int):
     """Yield (u, X_u), X_u the action of u on V (x) V, for every generator
     word u with |u| <= max_degree: shorter words first, then in
@@ -249,11 +217,16 @@ def check_duality(rep: Representation, space: BraidedSpace,
     pairing on seeded samples.  The multiplication-order orientation that
     holds is recorded in the report notes.
 
-    Annihilation is certified on the words of `action_span_basis`; only if
-    one of them pairs to non-zero are all words enumerated, to count the
-    failures, with the operators of `_word_operators`; `_nonzero_pairings`
-    pairs both streams.  A degree bound or sample count below 1, or an
-    empty relation set, is refused: the check would then cover nothing."""
+    A relation column of `frt_relations`, indexed by its t-word w, pairs
+    with an operator X on V (x) V to the entry of BX - XB at
+    `_entry_index(w)`, B the braiding.  So the relations are annihilated
+    by X exactly when X commutes with B, and, as X_u is the product of the
+    X_g and the commutant is an algebra holding 1, by every word exactly
+    when every generator action on V (x) V commutes with B.  Only if one
+    does not are all words enumerated, to count the failures, with the
+    operators of `_word_operators`, paired by `_nonzero_pairings`.  A
+    degree bound or sample count below 1, or an empty relation set, is
+    refused: the check would then cover nothing."""
     if max_degree < 1:
         raise ValueError(f"duality check needs max_degree >= 1, got {max_degree}")
     if samples < 1:
@@ -262,6 +235,7 @@ def check_duality(rep: Representation, space: BraidedSpace,
     if not pres.relations.relations:
         raise ValueError("empty relation set: the annihilation check would "
                          "pass without checking anything")
+    # refuses a representation of another dimension before any product
     table = PairingTable(rep, space.dim)
     gens = list(rep.presentation.generators)
     report = Report(f"finite-degree duality for {rep.name}")
@@ -270,12 +244,13 @@ def check_duality(rep: Representation, space: BraidedSpace,
     bad = 0
     witness = ""
     relations = pres.relations.relations
-    positions = [[(_entry_index(w, space.dim), c)
-                  for w, c in rel.coeffs.items()] for rel in relations]
-    if next(_nonzero_pairings(action_span_basis(table, max_degree),
-                              positions), None) is not None:
+    braiding = space.braiding
+    if not all(braiding * x == x * braiding
+               for x in (rep.actions.extended(g, 2) for g in gens)):
         # recount over every word, in the order of increasing length, so the
         # failure count and the first witness are those of the full check
+        positions = [[(_entry_index(w, space.dim), c)
+                      for w, c in rel.coeffs.items()] for rel in relations]
         for u, idx, value in _nonzero_pairings(
                 _word_operators(rep, max_degree), positions):
             bad += 1

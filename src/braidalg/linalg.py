@@ -321,16 +321,20 @@ def solve_commutant(actions: list[SymMatrix]) -> list[SymMatrix]:
         a_rows = a.transpose().columns
         for i in range(s):
             for j in range(s):
-                # (M A - A M)[i][j] = sum_k M[i,k] A[k,j] - A[i,k] M[k,j]
-                row = {i * s + k: c for k, c in a.columns[j].items()}
-                vec_add_scaled(row, {k * s + j: c for k, c
+                # (M A - A M)[i][j] = sum_k M[i,k] A[k,j] - A[i,k] M[k,j],
+                # with the unknown M[i,k] at its `vec` index k * s + i
+                row = {k * s + i: c for k, c in a.columns[j].items()}
+                vec_add_scaled(row, {j * s + k: c for k, c
                                      in a_rows[i].items()}, -ONE)
                 if row:
                     rows.append(row)
-    return [SymMatrix.from_columns(s, ({i: vec[i * s + j] for i in range(s)
-                                        if i * s + j in vec}
-                                       for j in range(s)))
-            for vec in nullspace(rows, s * s)]
+    basis = []
+    for vec in nullspace(rows, s * s):
+        cols: list[dict] = [{} for _ in range(s)]
+        for k, v in vec.items():
+            cols[k // s][k % s] = v
+        basis.append(SymMatrix.from_columns(s, cols))
+    return basis
 
 
 def minimal_poly(m: SymMatrix) -> list[Scalar]:
@@ -412,12 +416,12 @@ def _int_sqrt(n2: int) -> int:
 class BraidedSpace:
     """A space V with an invertible braid-equation solution.
 
-    Two matrices are kept: `rtt`, the exchange-form matrix that feeds the
-    quadratic-relations construction on V* (x) V, and `braiding`, the
-    operator that satisfies the braid equation of a braided algebra and
-    commutes with coproduct actions.  The two are related by composition
-    with the flip: braiding = rtt . flip.  Both the braid equation and
-    invertibility are verified at construction.
+    Two matrices are kept: `rtt`, the exchange-form matrix usually printed
+    next to vector representations, which neither satisfies the braid
+    equation nor commutes with coproduct actions, and `braiding` =
+    rtt . flip, which does both.  Every braided construction, the
+    quadratic t-relations included, uses `braiding`.  Both the braid
+    equation and invertibility are verified at construction.
     """
 
     __slots__ = ("dim", "rtt", "braiding", "braiding_inverse")

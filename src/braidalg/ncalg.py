@@ -28,9 +28,6 @@ class WordOrder:
     The sort key is ordered so that smaller keys mean greater words.
     """
 
-    def __init__(self, alphabet: int):
-        self.alphabet = alphabet
-
     def key(self, word: Word):
         return (-len(word), word)
 
@@ -141,7 +138,7 @@ class RelationSet:
 
     def __init__(self, alphabet: int, relations, names=None):
         self.alphabet = alphabet
-        self.order = WordOrder(alphabet)
+        self.order = WordOrder()
         self.names = list(names) if names else default_names(alphabet)
         if (len(self.names) != alphabet or len(set(self.names)) != alphabet
                 or any(not name or any(ch.isspace() for ch in name)

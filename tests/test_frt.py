@@ -4,13 +4,12 @@ import random
 
 import pytest
 
-from braidalg.builtin import builtin_sl
+from braidalg.builtin import adjoint_sl2, builtin_sl, classical_space
 from braidalg.frt import (FRTPresentation, PairingTable, _entry_index,
-                          _nonzero_pairings, _word_operators,
-                          action_span_basis, check_duality,
+                          _nonzero_pairings, _word_operators, check_duality,
                           frt_coideal_check, frt_hilbert, frt_relations,
                           pairing, t_names)
-from braidalg.linalg import BraidedSpace, SymMatrix
+from braidalg.linalg import BraidedSpace, SymMatrix, solve_commutant
 from braidalg.ncalg import NCPoly, RelationSet, relations_from_image
 from braidalg.scalar import ONE, Q, ZERO, Scalar, parse_poly
 from braidalg.uqg import (Gen, GeneratorCoalgebra, Representation,
@@ -188,8 +187,8 @@ def test_pairing_values(sl2):
 
 
 def test_pairing_table_is_bilinear_cache(sl2):
-    # on a perturbed sl:2 some relations pair to non-zero; both operator
-    # streams must pair exactly as the linear extension of `pairing`
+    # on a perturbed sl:2 some relations pair to non-zero; the word
+    # operators must pair exactly as the linear extension of `pairing`
     rep, space = sl2
     assign = dict(rep.assign)
     entries = [list(row) for row in assign[Gen("E", 0)].entries]
@@ -211,13 +210,10 @@ def test_pairing_table_is_bilinear_cache(sl2):
                     out.append((u, idx, value))
         return out
 
-    streams = (_word_operators(mutated, 2),
-               action_span_basis(PairingTable(mutated, 2), 2))
-    for stream in streams:
-        ops = list(stream)
-        expected = reference([u for u, _ in ops])
-        assert expected
-        assert list(_nonzero_pairings(ops, positions)) == expected
+    ops = list(_word_operators(mutated, 2))
+    expected = reference([u for u, _ in ops])
+    assert expected
+    assert list(_nonzero_pairings(ops, positions)) == expected
 
 
 def test_duality_sl2(sl2):
@@ -344,26 +340,74 @@ def test_duality_refuses_empty_relation_set(sl2):
         check_duality(trivial, space, max_degree=3)
 
 
-@pytest.mark.parametrize("n, saturation_degree", [(2, 2), (3, 4), (4, 6)])
-def test_action_span_saturates_at_commutant_dimension(n, saturation_degree):
-    # The image of U_q in End(V (x) V) is the commutant of the braiding
-    # (q-Schur-Weyl duality).  The braiding is Hecke and semisimple, so the
-    # commutant has dimension a^2 + b^2 for its eigenspace dimensions a, b,
-    # read off the images of B + q^-1 and B - q without frt_relations.
-    rep, space = builtin_sl(n)
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_commutant_dimension_from_eigenspaces(n):
+    # The braiding is Hecke and semisimple, so its commutant in
+    # End(V (x) V) has dimension a^2 + b^2 for its eigenspace dimensions
+    # a, b, read off the images of B + q^-1 and B - q without
+    # frt_relations or solve_commutant.
+    _, space = builtin_sl(n)
     sym = len(relations_from_image(space, parse_poly("x + q^-1")).relations)
     ext = len(relations_from_image(space, parse_poly("x - q")).relations)
     assert (sym, ext) == (math.comb(n + 1, 2), math.comb(n, 2))
     expected = sym ** 2 + ext ** 2
     assert expected == {2: 10, 3: 45, 4: 136}[n]
-
-    def basis_size(degree):
-        return len(list(action_span_basis(PairingTable(rep, n), degree)))
-
-    assert basis_size(saturation_degree - 1) < expected
-    assert basis_size(saturation_degree) == expected
-    assert basis_size(saturation_degree + 2) == expected
+    assert len(solve_commutant([space.braiding])) == expected
     assert expected == n ** 4 - frt_relations(space).rank
+
+
+def _annihilates(op, relations, n):
+    """Every relation pairs to zero with the operator on V (x) V, each
+    t-word reading the entry of its (i-vector, j-vector) index."""
+    entries = op.entries
+    for rel in relations:
+        value = ZERO
+        for w, c in rel.coeffs.items():
+            row, col = _entry_index(w, n)
+            value = value + entries[row][col] * c
+        if not value.is_zero():
+            return False
+    return True
+
+
+@pytest.mark.parametrize("name", ["sl:2", "sl:3", "adjoint_sl2",
+                                  "classical:2"])
+def test_relation_annihilator_is_the_braiding_commutant(name):
+    # the operators on V (x) V that pair to zero with every relation are
+    # exactly those that commute with the braiding
+    space = {"sl:2": lambda: builtin_sl(2)[1],
+             "sl:3": lambda: builtin_sl(3)[1],
+             "adjoint_sl2": lambda: adjoint_sl2()[1],
+             "classical:2": lambda: classical_space(2)}[name]()
+    n, b = space.dim, space.braiding
+    pres = frt_relations(space)
+    relations = pres.relations.relations
+    commutant = solve_commutant([b])
+    assert len(commutant) == n ** 4 - pres.rank
+    assert len(commutant) == {"sl:2": 10, "sl:3": 45, "adjoint_sl2": 35,
+                              "classical:2": 10}[name]
+    assert all(_annihilates(m, relations, n) for m in commutant)
+    rng = random.Random(7)
+    outcomes = set()
+    for _ in range(8):
+        x = SymMatrix.zeros(n * n)
+        for m in commutant:
+            x = x + m * rng.randint(-2, 2)
+        if rng.random() < 0.5:
+            i, j = rng.randrange(n * n), rng.randrange(n * n)
+            x = x + SymMatrix.unit(n * n, i, j) * rng.choice([1, -1, 2])
+        commutes = b * x == x * b
+        assert _annihilates(x, relations, n) == commutes
+        outcomes.add(commutes)
+    assert outcomes == {True, False}
+
+
+def test_duality_refuses_mismatched_dimensions(sl2, sl3):
+    rep, _ = sl2
+    _, space = sl3
+    with pytest.raises(ValueError,
+                       match="representation dimension must equal n"):
+        check_duality(rep, space, max_degree=2)
 
 
 def _exhaustive_annihilation(rep, space, max_degree):
@@ -414,6 +458,11 @@ def test_span_certificate_agrees_with_exhaustive_check(sl2, sl3):
             item = report.items[0]
             assert (item.name, item.passed, item.detail) == \
                 _exhaustive_annihilation(mutated, space, degree), (gen, i, j)
+            # annihilation holds exactly when every generator commutes
+            # with the braiding on V (x) V
+            preserves = check_preserves_R(mutated, space).items
+            assert item.passed == all(
+                p.passed for p in preserves if "degree 2" in p.name)
             outcomes.add(item.passed)
     assert outcomes == {True, False}
     # a failing sl:3 check at degree 3, so that the recount walks words of

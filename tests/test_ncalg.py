@@ -11,7 +11,7 @@ from braidalg.scalar import ONE, Q, ZERO, parse_poly, parse_scalar
 
 
 def test_word_order_default_orientation():
-    order = WordOrder(3)
+    order = WordOrder()
     assert order.greater((0, 1), (1, 0))   # x1x2 > x2x1
     assert order.greater((0, 0, 0), (1, 1))  # degree dominates
     assert order.leading({(0, 1): ONE, (1, 0): Q}) == (0, 1)

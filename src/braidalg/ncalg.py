@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import product
 
 from .linalg import Echelon, eval_poly_at_matrix, vec_add_scaled
 from .scalar import ONE, Scalar, join_terms
@@ -228,12 +229,6 @@ class RewriteSystem:
     def certified(self, degree: int) -> bool:
         return degree <= self.degree_bound
 
-    def reducible_at(self, word: Word, pos: int) -> Word | None:
-        for ell in self._lengths:
-            if pos + ell <= len(word) and word[pos:pos + ell] in self.rules:
-                return word[pos:pos + ell]
-        return None
-
     def normal_form_word(self, word: Word) -> NCPoly:
         word = tuple(word)
         if len(word) > self.degree_bound:
@@ -242,19 +237,17 @@ class RewriteSystem:
         cached = self._nf_cache.get(word)
         if cached is not None:
             return cached
-        result = None
-        for pos in range(len(word)):
-            lhs = self.reducible_at(word, pos)
-            if lhs is None:
-                continue
-            prefix, suffix = word[:pos], word[pos + len(lhs):]
-            acc: dict = {}
-            for w, c in self.rules[lhs].coeffs.items():
-                vec_add_scaled(acc, self.normal_form_word(
-                    prefix + w + suffix).coeffs, c)
-            result = NCPoly._of(acc)
-            break
-        if result is None:
+        # rewrite the leftmost factor that is a leading word
+        for pos, ell in product(range(len(word)), self._lengths):
+            lhs = word[pos:pos + ell]
+            if lhs in self.rules:
+                acc: dict = {}
+                for w, c in self.rules[lhs].coeffs.items():
+                    vec_add_scaled(acc, self.normal_form_word(
+                        word[:pos] + w + word[pos + ell:]).coeffs, c)
+                result = NCPoly._of(acc)
+                break
+        else:
             result = NCPoly.monomial(word)
         self._nf_cache[word] = result
         return result
@@ -265,25 +258,28 @@ class RewriteSystem:
             vec_add_scaled(out, self.normal_form_word(w).coeffs, c)
         return NCPoly._of(out)
 
-    def irreducible_words(self, degree: int) -> list[Word]:
-        """All irreducible words of the given degree, lexicographically by
-        index sequence."""
-        out: list[Word] = []
-
-        def extend(word: Word):
-            if len(word) == degree:
-                out.append(word)
-                return
-            for letter in range(self.alphabet):
-                cand = word + (letter,)
-                tail_ok = all(
-                    cand[-ell:] not in self.rules
-                    for ell in self._lengths if ell <= len(cand))
-                if tail_ok:
-                    extend(cand)
-
-        extend(())
-        return out
+    def irreducible_words(self, max_degree: int) -> list[list[Word]]:
+        """The irreducible words of degrees 0..max_degree, each degree in
+        lexicographic order; `DegreeBoundError` past the completion bound,
+        where they need not be a basis.  Degree d extends degree d - 1 by the
+        letters ending no leading word, once per (longest lead - 1)-suffix."""
+        if max_degree > self.degree_bound:
+            raise DegreeBoundError(f"degree {max_degree} exceeds completion "
+                                   f"bound {self.degree_bound}")
+        keep = max(self._lengths, default=1) - 1
+        allowed: dict[Word, list[int]] = {}
+        levels: list[list[Word]] = [[()]]
+        for _ in range(max_degree):
+            words = []
+            for word in levels[-1]:
+                tail = word[max(len(word) - keep, 0):]
+                if tail not in allowed:
+                    allowed[tail] = [a for a in range(self.alphabet) if not any(
+                        (tail + (a,))[-ell:] in self.rules
+                        for ell in self._lengths)]
+                words.extend(word + (a,) for a in allowed[tail])
+            levels.append(words)
+        return levels[:max_degree + 1]
 
 
 def complete_rewrite(relations: RelationSet, max_degree: int) -> RewriteSystem:
@@ -320,13 +316,18 @@ def complete_rewrite(relations: RelationSet, max_degree: int) -> RewriteSystem:
         rules[lead] = NCPoly({w: -c for w, c in rel.coeffs.items() if w != lead})
     rs = RewriteSystem(relations, max_degree, rules, CompletionLog())
     for degree in range(3, max_degree + 1):
+        # leads by (proper prefix, letters after it): a lead v sharing the
+        # prefix u[-ell:] overlaps u in a word of degree len(u) + |v[ell:]|
+        starts: dict[tuple, list[Word]] = {}
+        for v in rules:
+            for ell in range(1, len(v)):
+                starts.setdefault((v[:ell], len(v) - ell), []).append(v)
         ech = Echelon()
         for u, rhs_u in rules.items():
-            for v, rhs_v in rules.items():
-                ell = len(u) + len(v) - degree   # letters u and v share
-                if 0 < ell < min(len(u), len(v)) and u[-ell:] == v[:ell]:
+            for ell in range(1, len(u)):
+                for v in starts.get((u[-ell:], degree - len(u)), ()):
                     diff = (rhs_u * NCPoly.monomial(v[ell:])
-                            - NCPoly.monomial(u[:-ell]) * rhs_v)
+                            - NCPoly.monomial(u[:-ell]) * rules[v])
                     ech.insert(rs.normal_form(diff).coeffs)
         if ech.rank:
             for lead, row in sorted(ech.pivot_rows.items()):
@@ -339,11 +340,11 @@ def complete_rewrite(relations: RelationSet, max_degree: int) -> RewriteSystem:
 
 
 def hilbert(rs: RewriteSystem, max_degree: int) -> list[int]:
-    """Graded dimensions of the quotient for degrees 0..max_degree.  Degrees
-    beyond the completion bound fall back to the linear-algebra quotient
-    oracle, which is exact regardless of confluence."""
+    """Graded dimensions of the quotient for degrees 0..max_degree: the
+    irreducible words of one enumeration through the completion bound, then
+    the linear-algebra quotient oracle, exact regardless of confluence."""
     certified = min(max_degree, rs.degree_bound)
-    dims = [len(rs.irreducible_words(d)) for d in range(certified + 1)]
+    dims = [len(words) for words in rs.irreducible_words(certified)]
     if max_degree > certified:
         dims += hilbert_oracle(rs.relations, max_degree)[certified + 1:]
     return dims

@@ -342,8 +342,7 @@ class Scalar:
         return None
 
     def __add__(self, other) -> "Scalar":
-        other = _coerce(other)
-        if other is NotImplemented:
+        if type(other) is not Scalar and (other := _coerce(other)) is NotImplemented:
             return NotImplemented
         if self.den.is_one() and other.den.is_one():
             return Scalar._raw(self.num + other.num, self.den)
@@ -354,8 +353,7 @@ class Scalar:
     __radd__ = __add__
 
     def __sub__(self, other) -> "Scalar":
-        other = _coerce(other)
-        if other is NotImplemented:
+        if type(other) is not Scalar and (other := _coerce(other)) is NotImplemented:
             return NotImplemented
         return self + (-other)
 
@@ -366,9 +364,12 @@ class Scalar:
         return Scalar._raw(-self.num, self.den)
 
     def __mul__(self, other) -> "Scalar":
-        other = _coerce(other)
-        if other is NotImplemented:
+        if other is ONE:
+            return self
+        if type(other) is not Scalar and (other := _coerce(other)) is NotImplemented:
             return NotImplemented
+        if self is ONE:
+            return other
         if self.num.is_zero() or other.num.is_zero():
             return ZERO
         if self.den.is_one() and other.den.is_one():
@@ -382,8 +383,7 @@ class Scalar:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Scalar":
-        other = _coerce(other)
-        if other is NotImplemented:
+        if type(other) is not Scalar and (other := _coerce(other)) is NotImplemented:
             return NotImplemented
         return Scalar(self.num * other.den, self.den * other.num)
 

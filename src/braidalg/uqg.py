@@ -558,9 +558,7 @@ def _measuring_residual(actions: ActionTable, rs: RewriteSystem, symbol,
 
 
 def _monomial_pairs(rs: RewriteSystem, max_degree: int) -> list:
-    words = []
-    for d in range(max_degree + 1):
-        words.extend(rs.irreducible_words(d))
+    words = [w for level in rs.irreducible_words(max_degree) for w in level]
     return [(a, b) for a in words for b in words
             if len(a) + len(b) <= max_degree]
 
@@ -599,7 +597,8 @@ def check_measuring(rep: Representation, rs: RewriteSystem,
     """Sample the measuring identity over monomial pairs in the quotient:
     exhaustive when at most `sample_count` pairs exist, otherwise a seeded
     random sample of that size.  Raises ValueError when no pair is left or
-    the sample count is negative."""
+    the sample count is negative, and DegreeBoundError when `max_degree`
+    exceeds the completion bound of `rs`."""
     if sample_count < 0:
         raise ValueError(
             f"measuring check needs sample_count >= 0, got {sample_count}")

@@ -1,7 +1,10 @@
 """`complete_rewrite` against the fixpoint completion it replaced
 (`oracles.completion_reference`) and against the diamond lemma (Bergman
 1978): the rules are the same, they are reduced, and the graded dimensions
-they give equal the rank oracle and the rank modulo a prime."""
+they give equal the rank oracle and the rank modulo a prime.  The irreducible
+words are checked against a brute-force filter of all words."""
+
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -93,3 +96,31 @@ _BUILTIN = {
     ("three-letter rational", 4)])
 def test_completion_of_builtin_relations(case, bound):
     _check_completion(_BUILTIN[case](), bound)
+
+
+def _check_irreducible_words(rs, max_degree: int):
+    """Each degree of `irreducible_words` is the lexicographic list of all
+    words with no leading word as a factor."""
+    levels = rs.irreducible_words(max_degree)
+    assert len(levels) == max_degree + 1
+    leads = set(rs.rules)
+    for d, words in enumerate(levels):
+        assert words == [w for w in product(range(rs.alphabet), repeat=d)
+                         if not _subwords(w) & leads], d
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_relation_sets())
+def test_irreducible_words_of_random_quadratic_relations(case):
+    relations, bound = case
+    _check_irreducible_words(complete_rewrite(relations, bound), bound)
+
+
+@pytest.mark.parametrize("relations, bound", [
+    (_BUILTIN["non-confluent"](), 6),   # leads of lengths 2 through 6
+    (_BUILTIN["three-letter rational"](), 4),
+    (RelationSet(2, []), 5),
+    (RelationSet(3, []), 3)], ids=["non-confluent", "three-letter rational",
+                                   "free 2", "free 3"])
+def test_irreducible_words_of_completed_systems(relations, bound):
+    _check_irreducible_words(complete_rewrite(relations, bound), bound)

@@ -121,6 +121,8 @@ def test_normal_form_degree_bound():
     rs = complete_rewrite(RelationSet(2, []), 3)
     with pytest.raises(DegreeBoundError):
         rs.normal_form(NCPoly.monomial((0, 1, 0, 1)))
+    with pytest.raises(DegreeBoundError):
+        rs.irreducible_words(4)
 
 
 def test_hilbert_free_algebra():

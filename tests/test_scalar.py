@@ -304,6 +304,17 @@ def test_integral_fraction_is_stored_as_int():
     assert _stored_canonically(half + half) and _stored_canonically(half * 2)
 
 
+def test_product_with_one_is_the_other_factor_as_a_scalar():
+    """`ONE` returns the other factor itself, but a plain number is still
+    coerced first, so the product is always a `Scalar`."""
+    x = parse_scalar("1/(q + 1)")
+    assert x * ONE is x and ONE * x is x
+    for got in (ONE * 3, 3 * ONE, ONE * Fraction(1, 2)):
+        assert type(got) is Scalar and _stored_canonically(got)
+    assert ONE * 3 == Scalar.from_int(3) and not (ONE * 3).is_zero()
+    assert ONE.__mul__("q") is NotImplemented
+
+
 def test_evaluate_returns_a_fraction():
     assert isinstance(LaurentPoly().evaluate(2), Fraction)
     for s in (ZERO, ONE, Q, q_integer(3), parse_scalar("1/(q + 1)")):

@@ -5,7 +5,8 @@ import pytest
 from braidalg.builtin import classical_space, sl2_lie_actions
 from braidalg.frt import pairing
 from braidalg.linalg import BraidedSpace, SymMatrix, kron
-from braidalg.ncalg import complete_rewrite, relations_from_image
+from braidalg.ncalg import (DegreeBoundError, complete_rewrite,
+                            relations_from_image)
 from braidalg.scalar import ONE, Q, parse_poly, q_integer
 from braidalg.uqg import (CartanData, Gen, GeneratorCoalgebra, Representation,
                           UqPresentation, act_on_quotient, check_antipode,
@@ -416,6 +417,20 @@ def test_ideal_checks_refuse_a_mismatched_alphabet(sl2, sl3):
         rs = complete_rewrite(rels, 2)
         with pytest.raises(ValueError, match="alphabet sizes differ"):
             act_on_quotient(rep, rs, Gen("E", 0), (0, 0))
+
+
+def test_measuring_checks_refuse_degrees_beyond_the_completion_bound(sl2):
+    """Normal forms are certified only through the completion bound, so a
+    measuring degree above it is refused before any pair is enumerated; with
+    seed 0 the sample used to dodge every uncertified normal form and pass."""
+    rep, space = sl2
+    rs = complete_rewrite(relations_from_image(space, parse_poly("x - q")), 3)
+    with pytest.raises(DegreeBoundError, match="exceeds completion bound 3"):
+        check_measuring(rep, rs, sample_count=2, max_degree=4, seed=0)
+    with pytest.raises(DegreeBoundError):
+        check_derivation_measuring(sl2_lie_actions(), rs, max_degree=4)
+    assert check_measuring(rep, rs, sample_count=2, max_degree=3,
+                           seed=0).passed
 
 
 def test_measuring_checks_refuse_a_mismatched_alphabet(sl2, sl3):

@@ -18,7 +18,7 @@ from functools import cached_property
 from math import gcd
 
 from .linalg import (BraidedSpace, Echelon, SymMatrix, combine,
-                     extend_braiding, invert, kron, vec_add_scaled, vec_kron)
+                     extend_braiding, invert, kron, vec_add_scaled)
 from .ncalg import (DegreeBoundError, NCPoly, RelationSet, RewriteSystem,
                     Word, vector_to_poly, word_index, word_str)
 from .report import Report
@@ -537,24 +537,21 @@ def check_ideal_preserved(rep: Representation, rels: RelationSet) -> Report:
 
 def _measuring_residual(actions: ActionTable, rs: RewriteSystem, symbol,
                         a: Word, b: Word) -> NCPoly:
-    """The normal form of sigma(c)(NF(ab)) - sum sigma(c_(1))(a) (x)
-    sigma(c_(2))(b) over the coproduct of c, built as one vector of
-    V^(x)(|a| + |b|); zero means the identity holds on this triple.  NF is
-    linear, so this is NF(LHS) - NF(RHS).
-
-    The left side acts on the normal form of the product, i.e. on the
-    quotient element itself; this is what makes the check sensitive to
-    actions that fail to preserve the ideal."""
+    """NF(sigma(c)(NF(ab) - ab)), the measuring residual of c on the normal
+    words a, b: zero when the identity holds on this triple.  The extended
+    actions come from the coproduct, whose coassociativity and counit law
+    `GeneratorCoalgebra` verifies, so the sum of sigma(c_(1))(a) (x)
+    sigma(c_(2))(b) is sigma(c) on the word ab (Sweedler, *Hopf Algebras*,
+    1969, ch. VII), and the residual is sigma(c) on the ideal element
+    NF(ab) - ab: the descent criterion, pair by pair.  A normal word ab
+    needs no action."""
     n, k = actions.dim, len(a) + len(b)
-    product = rs.normal_form(NCPoly.monomial(a + b))
-    vec = actions.act((symbol,), {word_index(w, n): c for w, c
-                                  in product.coeffs.items()}, k)
-    unit_a, unit_b = {word_index(a, n): ONE}, {word_index(b, n): ONE}
-    for l, r, c in actions.coalgebra.delta[symbol]:
-        vec_add_scaled(vec, vec_kron(actions.act(l, unit_a, len(a)),
-                                     actions.act(r, unit_b, len(b)),
-                                     n ** len(b)), -c)
-    return rs.normal_form(vector_to_poly(vec, n, k))
+    vec = {word_index(w, n): c for w, c
+           in rs.normal_form_word(a + b).coeffs.items()}
+    vec_add_scaled(vec, {word_index(a + b, n): ONE}, -ONE)
+    if not vec:
+        return NCPoly()
+    return rs.normal_form(vector_to_poly(actions.act((symbol,), vec, k), n, k))
 
 
 def _monomial_pairs(rs: RewriteSystem, max_degree: int) -> list:
@@ -574,10 +571,12 @@ def _measure(report: Report, actions: ActionTable, rs: RewriteSystem,
     if actions.dim != rs.alphabet:
         raise ValueError("matrix size must match the quotient alphabet")
     for s in symbols:
-        bad = 0
-        witness = ""
+        bad, witness = 0, ""
+        residuals: dict = {}
         for a, b in pairs:
-            residual = _measuring_residual(actions, rs, s, a, b)
+            if a + b not in residuals:
+                residuals[a + b] = _measuring_residual(actions, rs, s, a, b)
+            residual = residuals[a + b]
             if not residual.is_zero():
                 bad += 1
                 if not witness:
@@ -618,10 +617,11 @@ def check_derivation_measuring(lie_actions: list, rs: RewriteSystem,
                                max_degree: int = 4) -> Report:
     """Classical mode: the Leibniz rule sigma(X)(ab) = sigma(X)(a)b +
     a sigma(X)(b) for each listed matrix, exhaustively over monomial pairs.
-    This is the measuring identity for primitive coalgebra generators."""
-    dims = {m.rows for m in lie_actions}
+    This is the measuring identity for primitive coalgebra generators.
+    Matrices that are not square of one size are refused with ValueError."""
+    dims = {m.rows for m in lie_actions} | {m.cols for m in lie_actions}
     if len(dims) != 1:
-        raise ValueError("action matrices must share one dimension")
+        raise ValueError("action matrices must be square of one dimension")
     symbols = [f"X{i + 1}" for i in range(len(lie_actions))]
     actions = ActionTable(GeneratorCoalgebra.classical(symbols),
                           dict(zip(symbols, lie_actions)), dims.pop())

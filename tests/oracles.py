@@ -1,6 +1,6 @@
 """Test-local references for `ncalg.hilbert_oracle`,
-`ncalg.complete_rewrite`, `linalg.SymMatrix` arithmetic and
-`scalar._canonical`.
+`ncalg.complete_rewrite`, `linalg.SymMatrix` arithmetic,
+`uqg._measuring_residual` and `scalar._canonical`.
 
 `hilbert_reference` is the definition: the rank of the degree-2 relations
 placed at every position of V**d, eliminated exactly over Q(q).  It costs
@@ -29,6 +29,13 @@ with `SymMatrix`, which stores its matrices by columns; `dense_rows` reads a
 `ActionTable.extended`, which takes one coproduct step per tensor power
 instead; coassociativity makes the two agree.
 
+`measuring_residual_reference` is the Sweedler split that
+`uqg._measuring_residual` replaced: the action of c on the normal form of ab
+minus the sum, over the coproduct terms (l, r, c') of c, of
+c' * (l on a) (x) (r on b), built as one vector of V^(x)(|a|+|b|) and reduced
+once.  It splits the word at the boundary of a and b, where the library acts
+on the whole word ab; coassociativity and the counit law make the two agree.
+
 `canonical_reference` is the reduction that `scalar._canonical` replaced:
 Euclid's algorithm over `Fraction` coefficients gives the monic gcd, long
 division over Q removes it, and the denominator's rational content and sign
@@ -41,8 +48,9 @@ import math
 import random
 from fractions import Fraction
 
-from braidalg.linalg import Echelon
-from braidalg.ncalg import CompletionLog, NCPoly, RewriteSystem
+from braidalg.linalg import Echelon, vec_add_scaled, vec_kron
+from braidalg.ncalg import (CompletionLog, NCPoly, RewriteSystem,
+                            vector_to_poly, word_index)
 from braidalg.scalar import ONE, ZERO, LaurentPoly
 
 P = 2 ** 61 - 1
@@ -263,6 +271,21 @@ def iterated_coproduct(coalgebra, symbol, k: int) -> list:
                 expanded[key] = expanded.get(key, ZERO) + c * c2
         terms = [(w, c) for w, c in expanded.items() if not c.is_zero()]
     return terms
+
+
+def measuring_residual_reference(actions, rs, symbol, a, b) -> NCPoly:
+    """NF(sigma(c)(NF(ab)) - sum c' sigma(l)(a) (x) sigma(r)(b)) over the
+    coproduct terms (l, r, c') of c = `symbol`, for normal words a, b."""
+    n, k = actions.dim, len(a) + len(b)
+    product = rs.normal_form(NCPoly.monomial(a + b))
+    vec = actions.act((symbol,), {word_index(w, n): c for w, c
+                                  in product.coeffs.items()}, k)
+    unit_a, unit_b = {word_index(a, n): ONE}, {word_index(b, n): ONE}
+    for l, r, c in actions.coalgebra.delta[symbol]:
+        vec_add_scaled(vec, vec_kron(actions.act(l, unit_a, len(a)),
+                                     actions.act(r, unit_b, len(b)),
+                                     n ** len(b)), -c)
+    return rs.normal_form(vector_to_poly(vec, n, k))
 
 
 def dense_det(a: list[list]):

@@ -2,19 +2,22 @@ import random
 
 import pytest
 
-from braidalg.builtin import classical_space, sl2_lie_actions
+from braidalg.builtin import adjoint_sl2, classical_space, sl2_lie_actions
 from braidalg.frt import pairing
 from braidalg.linalg import BraidedSpace, SymMatrix, kron
-from braidalg.ncalg import (DegreeBoundError, complete_rewrite,
-                            relations_from_image)
+from braidalg.ncalg import (DegreeBoundError, NCPoly, RelationSet,
+                            complete_rewrite, relations_from_image, word_str)
 from braidalg.scalar import ONE, Q, parse_poly, q_integer
-from braidalg.uqg import (CartanData, Gen, GeneratorCoalgebra, Representation,
-                          UqPresentation, act_on_quotient, check_antipode,
+from braidalg.uqg import (ActionTable, CartanData, Gen, GeneratorCoalgebra,
+                          Representation, UqPresentation, _measuring_residual,
+                          _monomial_pairs, act_on_quotient, check_antipode,
                           check_derivation_measuring, check_ideal_preserved,
                           check_measuring, check_preserves_R,
                           check_representation, coproduct_action,
                           generator_independence, presentation_from_cartan,
                           word_action)
+
+from oracles import measuring_residual_reference
 
 
 def test_cartan_validation():
@@ -329,7 +332,8 @@ def test_measuring_checks_refuse_empty_pair_lists(sl2):
         relations_from_image(classical_space(2), parse_poly("x - 1")), 2)
     with pytest.raises(ValueError):
         check_derivation_measuring(sl2_lie_actions(), plane, max_degree=-1)
-    # the unit pair alone is a real check: the counit is multiplicative
+    # the unit pair alone passes by the counit law, which GeneratorCoalgebra
+    # verifies when it is built
     report = check_measuring(rep, rs, max_degree=0)
     assert report.passed and "1 monomial pairs" in report.notes[0]
 
@@ -462,11 +466,11 @@ def test_generator_independence_fails_on_trivial_representation():
     assert not generator_independence(trivial).passed
 
 
-def _perturbed(rep, rng) -> Representation:
-    """rep with one entry of one E, F or K matrix changed to a different
-    non-zero value; K^-1 is recomputed.  Changing a diagonal entry of the
-    diagonal K, or an off-diagonal one, keeps it invertible."""
-    gens = [g for g in rep.presentation.generators if g.kind != "Ki"]
+def _perturbed(rep, rng, kinds="EFK") -> Representation:
+    """rep with one entry of one matrix of the listed kinds changed to a
+    different non-zero value; K^-1 is recomputed.  Changing a diagonal entry
+    of the diagonal K, or an off-diagonal one, keeps it invertible."""
+    gens = [g for g in rep.presentation.generators if g.kind in kinds]
     gen = rng.choice(gens)
     entries = [list(row) for row in rep.assign[gen].entries]
     r, c = rng.randrange(rep.dim), rng.randrange(rep.dim)
@@ -496,3 +500,114 @@ def test_measuring_holds_exactly_when_the_ideal_is_preserved(name, request):
             assert measures == preserved, (poly, bad.name)
             outcomes.append(measures)
     assert set(outcomes) == {True, False}
+
+
+def _recount(report, actions, rs, pairs, symbols, show_residual) -> list:
+    """Compare every (symbol, pair) residual with the Sweedler-split
+    reference, coefficients and rendering, and check each report item
+    against a recount of its counterexamples and first witness.  Returns
+    whether each residual is zero."""
+    assert len(report.items) == len(symbols)
+    zeros = []
+    for s, item in zip(symbols, report.items):
+        bad, witness = 0, ""
+        for a, b in pairs:
+            residual = _measuring_residual(actions, rs, s, a, b)
+            expect = measuring_residual_reference(actions, rs, s, a, b)
+            assert residual == expect, (s, a, b)
+            assert residual.render(rs.names, rs.order) == \
+                expect.render(rs.names, rs.order), (s, a, b)
+            zeros.append(expect.is_zero())
+            if expect.is_zero():
+                continue
+            bad += 1
+            if not witness:
+                witness = (f"a={word_str(a, rs.names)} "
+                           f"b={word_str(b, rs.names)}")
+                if show_residual:
+                    witness += " residual=" + expect.render(rs.names, rs.order)
+        detail = f"{bad} counterexamples; first: {witness}" if bad else ""
+        assert (item.passed, item.detail) == (bad == 0, detail)
+    return zeros
+
+
+def _measuring_cases(sl2, sl3):
+    """(representation, rewrite system, degree) of exhaustive measuring
+    checks: the bench's sl:3 and adjoint inputs, which pass, and seeded
+    perturbations of E and F in sl:2 and sl:3, most of which fail."""
+    rep3, space3 = sl3
+    for poly in ("x - q", "x + q^-1"):
+        rs = complete_rewrite(
+            relations_from_image(space3, parse_poly(poly)), 4)
+        yield rep3, rs, 4
+    adj, adj_space = adjoint_sl2()
+    cone = complete_rewrite(
+        relations_from_image(adj_space, parse_poly("x - q^2")), 3)
+    yield adj, cone, 3
+    for name, (rep, space) in (("sl2", sl2), ("sl3", sl3)):
+        rng = random.Random(f"residual {name}")
+        for poly in ("x - q", "x + q^-1"):
+            rs = complete_rewrite(
+                relations_from_image(space, parse_poly(poly)), 3)
+            for _ in range(3):
+                yield _perturbed(rep, rng, kinds="EF"), rs, 3
+
+
+def test_measuring_residual_agrees_with_the_sweedler_split(sl2, sl3):
+    """NF(sigma(c)(NF(ab) - ab)) equals the term-by-term Sweedler split on
+    the bench's inputs and on seeded perturbations of E and F, and each
+    report counts its counterexamples pair by pair."""
+    zeros = []
+    for rep, rs, degree in _measuring_cases(sl2, sl3):
+        report = check_measuring(rep, rs, max_degree=degree)
+        assert "exhaustive" in report.notes[0]
+        zeros += _recount(report, rep.actions, rs,
+                          _monomial_pairs(rs, degree),
+                          rep.presentation.generators, True)
+    # x1 x1 = x2 x1 completes with the lead x1 x2 x1, which splits into
+    # normal words as x1 | x2 x1 and x1 x2 | x1: a count of failing product
+    # words would read 4 where 5 pairs fail
+    plane = relations_from_image(classical_space(2), parse_poly("x - 1"))
+    cubic = RelationSet(2, [NCPoly({(0, 0): ONE, (1, 0): -ONE})])
+    symbols = ["X1", "X2", "X3"]
+    actions = ActionTable(GeneratorCoalgebra.classical(symbols),
+                          dict(zip(symbols, sl2_lie_actions())), 2)
+    for rels, degree in ((plane, 5), (cubic, 3)):
+        rs = complete_rewrite(rels, degree)
+        report = check_derivation_measuring(sl2_lie_actions(), rs,
+                                            max_degree=degree)
+        zeros += _recount(report, actions, rs, _monomial_pairs(rs, degree),
+                          symbols, False)
+    assert (0, 1, 0) in rs.rules and not report.passed
+    assert set(zeros) == {True, False}
+
+
+def test_any_assignment_measures_the_tensor_algebra(sl2):
+    """P(V) measures T(V) for any assignment of matrices: the perturbed sl:2
+    of criterion 7 measures the free algebra, by the Sweedler split too,
+    though it breaks the defining relations and the x - q quotient."""
+    rep, space = sl2
+    assign = dict(rep.assign)
+    entries = [list(row) for row in assign[Gen("E", 0)].entries]
+    entries[0][0] = ONE
+    assign[Gen("E", 0)] = SymMatrix(entries)
+    bad = Representation(rep.presentation, assign, name="perturbed")
+    free = complete_rewrite(RelationSet(2, []), 3)
+    report = check_measuring(bad, free, max_degree=3)
+    assert report.passed and "exhaustive over 49" in report.notes[0]
+    assert all(
+        measuring_residual_reference(bad.actions, free, g, a, b).is_zero()
+        for g in bad.presentation.generators
+        for a, b in _monomial_pairs(free, 3))
+    assert not check_representation(bad).passed
+    sym = complete_rewrite(relations_from_image(space, parse_poly("x - q")), 3)
+    assert not check_measuring(bad, sym, max_degree=3).passed
+
+
+def test_derivation_measuring_refuses_non_square_matrices():
+    plane = complete_rewrite(
+        relations_from_image(classical_space(2), parse_poly("x - 1")), 2)
+    wide = SymMatrix.zeros(2, 3)
+    for actions in ([wide], [SymMatrix.identity(2), wide]):
+        with pytest.raises(ValueError, match="square"):
+            check_derivation_measuring(actions, plane, max_degree=2)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .builtin import resolve_builtin
@@ -85,7 +86,7 @@ def _emit(args, text_lines: list, payload: dict, exit_code: int) -> int:
 def cmd_validate_r(args) -> int:
     label, braiding, _ = _resolve_braiding(args, "validate-r")
     result = check_braid(braiding)
-    dim = int(round(braiding.rows ** 0.5))
+    dim = math.isqrt(braiding.rows)
     convention = ("braid-equation operator = exchange matrix composed with "
                   "the flip (builtin and rtt-form fixtures)")
     lines = [f"operator: {label} (dim {dim}, size {braiding.rows})",
@@ -194,16 +195,16 @@ def cmd_check(args) -> int:
         f = parse_poly(args.poly)
     except ScalarParseError as exc:
         raise CliError(f"bad --poly: {exc}") from exc
+    if {"ideal", "measuring"} & set(args.subchecks):
+        rels = ncalg.relations_from_image(space, f)
     for sub in args.subchecks:
         if sub == "relations":
             reports.append(check_representation(rep))
         elif sub == "admissible":
             reports.append(check_preserves_R(rep, space))
         elif sub == "ideal":
-            rels = ncalg.relations_from_image(space, f)
             reports.append(check_ideal_preserved(rep, rels))
         elif sub == "measuring":
-            rels = ncalg.relations_from_image(space, f)
             rs = complete_rewrite(rels, max(2, args.max_degree))
             reports.append(check_measuring(rep, rs, sample_count=args.samples,
                                            max_degree=args.max_degree,

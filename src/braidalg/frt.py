@@ -1,10 +1,10 @@
-"""The quadratic bialgebra on the matrix-coefficient generators t_ij:
-relation generation from the twist-conjugated pair of operators on
-V* (x) V (x) V* (x) V, the coideal property of the relation space, graded
+"""The quadratic bialgebra on the matrix-coefficient generators t_ij: its
+relations B (T (x) T) = (T (x) T) B, one per entry of the commutator with
+the braiding B, the coideal property of the relation space, graded
 dimensions of the quotient, and the finite-degree dual pairing with
 generator actions that realizes the duality with braiding-preserving
 transformations: a generator word annihilates the relations exactly when
-its action on V (x) V commutes with the braiding.
+its action on V (x) V commutes with B.
 
 The infinite-dimensional duals are never materialized; every statement is
 truncated at a caller-supplied degree bound.
@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 
-from .linalg import BraidedSpace, SymMatrix, kron, vec_add_scaled, vec_kron
+from .linalg import (BraidedSpace, SymMatrix, commutator_rows, vec_add_scaled,
+                     vec_kron)
 from .ncalg import RelationSet, complete_rewrite, hilbert, word_index
 from .report import Report
 from .scalar import ONE, ZERO, Scalar
@@ -32,8 +33,9 @@ def t_names(n: int) -> list[str]:
 @dataclass
 class FRTPresentation:
     """Generators t_ij (alphabet flattened as a*n + b), the echelonized
-    basis of im(alpha - beta) as degree-2 relations, and the matrix
-    coalgebra of the t_ij, `GeneratorCoalgebra.matrix(n)`."""
+    basis of the commutator functionals of the braiding as degree-2
+    relations, and the matrix coalgebra of the t_ij,
+    `GeneratorCoalgebra.matrix(n)`."""
 
     n: int
     relations: RelationSet
@@ -49,37 +51,21 @@ class FRTPresentation:
         return GeneratorCoalgebra.matrix(self.n)
 
 
-def _middle_swap(n: int) -> list[int]:
-    """The permutation of V1 (x) V2 (x) V3 (x) V4 exchanging factors 2, 3,
-    as an index map; it is its own inverse."""
-    return [((a * n + c) * n + b) * n + d for a in range(n) for b in range(n)
-            for c in range(n) for d in range(n)]
-
-
 def frt_relations(space: BraidedSpace) -> FRTPresentation:
-    """Build alpha = tau (M* (x) 1) tau and beta = tau (1 (x) M) tau on
-    V* (x) V (x) V* (x) V and echelonize im(alpha - beta) as degree-2
-    relations in the t-letters.
-
-    The operator M fed into the twist-conjugated maps is the braiding
-    (exchange matrix composed with the flip): of the two matrices carried by
-    the space it is the one whose relations are annihilated by every
-    braiding-preserving generator action, which is what the dual pairing
-    requires.  The choice is recorded on the presentation.
-    """
+    """Echelonize the degree-2 relations B (T (x) T) = (T (x) T) B in the
+    t-letters: the commutator functionals X -> (XB - BX)[i][j] of the
+    braiding B (`commutator_rows`), the entry (row, col) of X read as the
+    t-word that `_entry_index` maps to it.  Of the two matrices of the
+    space, B is the one that every braiding-preserving generator action
+    commutes with, as the dual pairing needs; the choice is recorded on
+    the presentation."""
     n = space.dim
     n2 = n * n
-    ident = SymMatrix.identity(n2)
-    a = kron(space.braiding.transpose(), ident)
-    b = kron(ident, space.braiding)
-    # column p of tau K tau is column tau(p) of K with its rows moved by tau
-    tau = _middle_swap(n)
-    columns = []
-    for j in tau:
-        col = dict(a.columns[j])
-        vec_add_scaled(col, b.columns[j], -ONE)
-        columns.append({tau[i]: v for i, v in col.items()})
-    relation_set = RelationSet.spanned_by(n2, columns, names=t_names(n))
+    entries = (_entry_index(divmod(w, n2), n) for w in range(n2 * n2))
+    word_at = {col * n2 + row: w for w, (row, col) in enumerate(entries)}
+    relation_set = RelationSet.spanned_by(
+        n2, ({word_at[k]: c for k, c in row.items()}
+             for row in commutator_rows(space.braiding)), names=t_names(n))
     return FRTPresentation(
         n=n, relations=relation_set, rank=len(relation_set),
         convention="relations built from the braiding (exchange matrix "
@@ -217,12 +203,11 @@ def check_duality(rep: Representation, space: BraidedSpace,
     pairing on seeded samples.  The multiplication-order orientation that
     holds is recorded in the report notes.
 
-    A relation column of `frt_relations`, indexed by its t-word w, pairs
-    with an operator X on V (x) V to the entry of BX - XB at
-    `_entry_index(w)`, B the braiding.  So the relations are annihilated
-    by X exactly when X commutes with B, and, as X_u is the product of the
-    X_g and the commutant is an algebra holding 1, by every word exactly
-    when every generator action on V (x) V commutes with B.  Only if one
+    The relations of `frt_relations` are the commutator functionals
+    X -> (XB - BX)[i][j] of the braiding B, so an operator X on V (x) V
+    annihilates them exactly when it commutes with B; as X_u is the product
+    of the X_g and the commutant is an algebra holding 1, every word does
+    exactly when every generator action on V (x) V does.  Only if one
     does not are all words enumerated, to count the failures, with the
     operators of `_word_operators`, paired by `_nonzero_pairings`.  A
     degree bound or sample count below 1, or an empty relation set, is

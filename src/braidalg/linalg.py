@@ -14,6 +14,7 @@ function.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .scalar import ONE, ZERO, Scalar
@@ -307,6 +308,25 @@ def image_subspace(m: SymMatrix) -> list[tuple]:
     return [tuple(v.get(i, ZERO) for i in range(m.rows)) for v in ech.basis()]
 
 
+def commutator_rows(a: SymMatrix) -> list[dict]:
+    """The linear functionals M -> (M A - A M)[i][j] of a square A, over the
+    `vec` indices of M: one per entry (i, j), at i * s + j, empty ones
+    kept."""
+    s = a.rows
+    # row i of A is column i of its transpose
+    a_rows = a.transpose().columns
+    rows = []
+    for i in range(s):
+        for j in range(s):
+            # (M A - A M)[i][j] = sum_k M[i,k] A[k,j] - A[i,k] M[k,j],
+            # with the unknown M[i,k] at its `vec` index k * s + i
+            row = {k * s + i: c for k, c in a.columns[j].items()}
+            vec_add_scaled(row, {j * s + k: c for k, c in a_rows[i].items()},
+                           -ONE)
+            rows.append(row)
+    return rows
+
+
 def solve_commutant(actions: list[SymMatrix]) -> list[SymMatrix]:
     """Basis of the space of matrices commuting with every listed matrix."""
     if not actions:
@@ -315,19 +335,7 @@ def solve_commutant(actions: list[SymMatrix]) -> list[SymMatrix]:
     for a in actions:
         if not a.is_square() or a.rows != s:
             raise ValueError("actions must be square matrices of equal size")
-    rows = []
-    for a in actions:
-        # row i of A is column i of its transpose
-        a_rows = a.transpose().columns
-        for i in range(s):
-            for j in range(s):
-                # (M A - A M)[i][j] = sum_k M[i,k] A[k,j] - A[i,k] M[k,j],
-                # with the unknown M[i,k] at its `vec` index k * s + i
-                row = {k * s + i: c for k, c in a.columns[j].items()}
-                vec_add_scaled(row, {j * s + k: c for k, c
-                                     in a_rows[i].items()}, -ONE)
-                if row:
-                    rows.append(row)
+    rows = [row for a in actions for row in commutator_rows(a)]
     basis = []
     for vec in nullspace(rows, s * s):
         cols: list[dict] = [{} for _ in range(s)]
@@ -407,7 +415,7 @@ def check_braid(op: SymMatrix) -> BraidCheck:
 
 
 def _int_sqrt(n2: int) -> int:
-    n = round(n2 ** 0.5)
+    n = math.isqrt(n2)
     if n * n != n2:
         raise ValueError(f"operator size {n2} is not a perfect square")
     return n

@@ -1,6 +1,6 @@
 """Test-local references for `ncalg.hilbert_oracle`,
 `ncalg.complete_rewrite`, `linalg.SymMatrix` arithmetic,
-`uqg._measuring_residual` and `scalar._canonical`.
+`uqg._measuring_residual`, `frt.frt_relations` and `scalar._canonical`.
 
 `hilbert_reference` is the definition: the rank of the degree-2 relations
 placed at every position of V**d, eliminated exactly over Q(q).  It costs
@@ -36,6 +36,11 @@ c' * (l on a) (x) (r on b), built as one vector of V^(x)(|a|+|b|) and reduced
 once.  It splits the word at the boundary of a and b, where the library acts
 on the whole word ab; coassociativity and the counit law make the two agree.
 
+`frt_relations_reference` is the construction that `frt.frt_relations`
+replaced: the t-relations as the columns of tau (B^T (x) 1 - 1 (x) B) tau on
+V* (x) V (x) V* (x) V, tau exchanging the two middle factors, built with the
+`dense_*` functions instead of the commutator functionals of the braiding.
+
 `canonical_reference` is the reduction that `scalar._canonical` replaced:
 Euclid's algorithm over `Fraction` coefficients gives the monic gcd, long
 division over Q removes it, and the denominator's rational content and sign
@@ -49,7 +54,8 @@ import random
 from fractions import Fraction
 
 from braidalg.linalg import Echelon, vec_add_scaled, vec_kron
-from braidalg.ncalg import (CompletionLog, NCPoly, RewriteSystem,
+from braidalg.frt import t_names
+from braidalg.ncalg import (CompletionLog, NCPoly, RelationSet, RewriteSystem,
                             vector_to_poly, word_index)
 from braidalg.scalar import ONE, ZERO, LaurentPoly
 
@@ -286,6 +292,27 @@ def measuring_residual_reference(actions, rs, symbol, a, b) -> NCPoly:
                                      actions.act(r, unit_b, len(b)),
                                      n ** len(b)), -c)
     return rs.normal_form(vector_to_poly(vec, n, k))
+
+
+def frt_relations_reference(space) -> RelationSet:
+    """The span of the columns of tau (B^T (x) 1 - 1 (x) B) tau, B the
+    braiding, as degree-2 relations in the t-letters."""
+    n = space.dim
+    b = dense_rows(space.braiding)
+    ident = dense_identity(n * n)
+    k = dense_sum(dense_kron([list(col) for col in zip(*b)], ident),
+                  dense_scale(dense_kron(ident, b), -ONE))
+
+    def tau(p: int) -> int:
+        a, rest = divmod(p, n ** 3)
+        c, rest = divmod(rest, n * n)
+        d, e = divmod(rest, n)
+        return ((a * n + d) * n + c) * n + e
+
+    # entry (i, p) of tau K tau is K[tau(i)][tau(p)]
+    columns = [{i: k[tau(i)][tau(p)] for i in range(n ** 4)
+                if not k[tau(i)][tau(p)].is_zero()} for p in range(n ** 4)]
+    return RelationSet.spanned_by(n * n, columns, names=t_names(n))
 
 
 def dense_det(a: list[list]):

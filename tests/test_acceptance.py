@@ -145,9 +145,9 @@ def test_criterion_6b_frt_sl3_stated_counts(sl3):
     n = space.dim
     # Expected counts derived without frt_relations.  The braiding is Hecke
     # and semisimple, so the images of B + q^-1 and B - q are its q- and
-    # (-q^-1)-eigenspaces.  im(alpha - beta) = {RX - XR} on End(V (x) V) has
-    # rank n^4 minus the dimension of the commutant of B, which is the sum of
-    # the squared eigenspace dimensions.
+    # (-q^-1)-eigenspaces.  The commutator map X -> XB - BX on End(V (x) V)
+    # has rank n^4 minus the dimension of the commutant of B, which is the
+    # sum of the squared eigenspace dimensions.
     sym = relations_from_image(space, parse_poly("x + q^-1"))
     ext = relations_from_image(space, parse_poly("x - q"))
     sym_dim, ext_dim = len(sym.relations), len(ext.relations)

@@ -122,6 +122,21 @@ def test_check_measuring_cli():
     assert proc.returncode == 0
 
 
+def test_check_ideal_and_measuring_together(capsys):
+    # both subchecks share one relation set; the output is that of the two
+    # runs one after the other
+    outs = []
+    for subs in (["ideal"], ["measuring"], ["ideal", "measuring"]):
+        assert main(["check", "--rep", "sl:2", *subs, "--poly", "x - q",
+                     "--max-degree", "3", "--samples", "50",
+                     "--seed", "1"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[2] == outs[0] + outs[1]
+    assert main(["check", "--rep", "sl:2", "ideal", "measuring",
+                 "--poly", "0"]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_check_independence_cli():
     proc = run_cli(["check", "--rep", "sl:2", "independence"])
     assert proc.returncode == 0

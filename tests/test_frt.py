@@ -14,6 +14,7 @@ from braidalg.ncalg import NCPoly, RelationSet, relations_from_image
 from braidalg.scalar import ONE, Q, ZERO, Scalar, parse_poly
 from braidalg.uqg import (Gen, GeneratorCoalgebra, Representation,
                           check_preserves_R)
+from oracles import frt_relations_reference
 
 
 def test_n1_space_has_no_relations():
@@ -49,8 +50,8 @@ def test_sl2_degree2_dimension(sl2):
 def test_sl3_relation_count(sl3):
     _, space = sl3
     pres = frt_relations(space)
-    # rank of alpha - beta = 81 - dim centralizer of the braiding
-    # = 81 - (6^2 + 3^2) = 36, the flat quantum-matrix value
+    # the commutator functionals of the braiding have rank 81 - dim of its
+    # centralizer = 81 - (6^2 + 3^2) = 36, the flat quantum-matrix value
     assert pres.rank == 36
     assert 81 - pres.rank == 45
 
@@ -477,3 +478,32 @@ def test_span_certificate_agrees_with_exhaustive_check(sl2, sl3):
     assert not item.passed
     assert (item.name, item.passed, item.detail) == \
         _exhaustive_annihilation(mutated, space, 3)
+
+
+def _diagonal_space():
+    # v_i (x) v_j -> q^c_ij v_j (x) v_i satisfies the braid equation for any
+    # exponents c_ij; these make a braiding that is not Hecke
+    c = [[1, 0, 2], [-1, 3, 1], [2, -2, 0]]
+    return BraidedSpace(SymMatrix.from_diagonal(
+        [Scalar.q_power(c[j][i]) for i in range(3) for j in range(3)]))
+
+
+_ORACLE_SPACES = {
+    "n=1": lambda: BraidedSpace.from_braiding(SymMatrix([[Q]])),
+    "sl:2": lambda: builtin_sl(2)[1],
+    "sl:3": lambda: builtin_sl(3)[1],
+    "sl:4": lambda: builtin_sl(4)[1],
+    "adjoint sl:2": lambda: adjoint_sl2()[1],
+    "classical:3": lambda: classical_space(3),
+    "rescaled rtt": lambda: BraidedSpace(builtin_sl(2)[1].rtt * Q ** 2),
+    "diagonal": _diagonal_space,
+}
+
+
+@pytest.mark.parametrize("name", list(_ORACLE_SPACES))
+def test_frt_relations_match_the_twist_conjugated_construction(name):
+    space = _ORACLE_SPACES[name]()
+    pres = frt_relations(space)
+    ref = frt_relations_reference(space)
+    assert pres.rank == len(ref)
+    assert pres.relations.render() == ref.render()

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 from braidalg.linalg import (BraidedSpace, BraidEquationError, SymMatrix,
-                             check_braid, eval_poly_at_matrix,
+                             _int_sqrt, check_braid, commutator_rows,
+                             eval_poly_at_matrix,
                              extend_braiding, flip_matrix, image_subspace,
                              invert, kron, minimal_poly, solve_commutant)
 from braidalg.linalg import Echelon, linear_solve, vec_add_scaled
@@ -204,6 +205,37 @@ def test_solve_commutant_sl2(sl2):
     target = {i * 4 + j: v for i, row in enumerate(space.braiding.entries)
               for j, v in enumerate(row) if not v.is_zero()}
     assert linear_solve(flat, [target], 16) != [None]
+
+
+_commutator_pool = st.sampled_from([ZERO, ONE, -ONE, Q, -Q, Q ** -1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_commutator_rows_read_the_commutator_entries(data):
+    s = data.draw(st.integers(1, 3))
+    square = st.lists(st.lists(_commutator_pool, min_size=s, max_size=s),
+                      min_size=s, max_size=s).map(SymMatrix)
+    a, m = data.draw(square), data.draw(square)
+    rows = commutator_rows(a)
+    assert len(rows) == s * s
+    vec = m.vec()
+    commutator = (m * a - a * m).entries
+    for i in range(s):
+        for j in range(s):
+            value = ZERO
+            for k, c in rows[i * s + j].items():
+                value = value + c * vec.get(k, ZERO)
+            assert value == commutator[i][j], (i, j)
+
+
+def test_int_sqrt_is_exact_beyond_float_precision():
+    # a float square root of (2**53 + 1)**2 rounds to 2**53
+    big = 2 ** 53 + 1
+    assert _int_sqrt(big * big) == big
+    for n2 in (2, 3, 8, big * big - 1, big * big + 1):
+        with pytest.raises(ValueError, match="not a perfect square"):
+            _int_sqrt(n2)
 
 
 def test_invert_singular_returns_none():

@@ -25,6 +25,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd as _int_gcd
 
+_ONE_COEFFS = {0: 1}  # the coefficients of 1, never mutated
+
 
 class ScalarParseError(ValueError):
     """Malformed scalar/polynomial expression; carries the offending position."""
@@ -78,7 +80,7 @@ class LaurentPoly:
         return not self.coeffs
 
     def is_one(self) -> bool:
-        return self.coeffs == {0: 1}
+        return self.coeffs == _ONE_COEFFS
 
     def degree(self) -> int:
         if not self.coeffs:

@@ -27,10 +27,20 @@ from .scalar import ONE, ZERO, Scalar, q_binomial
 
 @dataclass(frozen=True)
 class Gen:
-    """A presentation generator: E_i, F_i, K_i or K_i^{-1} (kind 'Ki')."""
+    """A presentation generator: E_i, F_i, K_i or K_i^{-1} (kind 'Ki'), its
+    hash computed once, and copies and pickles rebuilt by `__init__`."""
 
     kind: str
     index: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.kind, self.index)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Gen, (self.kind, self.index)
 
     def __str__(self) -> str:
         if self.kind == "Ki":

@@ -14,7 +14,9 @@ from braidalg.ncalg import NCPoly, RelationSet, relations_from_image
 from braidalg.scalar import ONE, Q, ZERO, Scalar, parse_poly
 from braidalg.uqg import (Gen, GeneratorCoalgebra, Representation,
                           check_preserves_R)
-from oracles import frt_relations_reference
+from oracles import (dense_identity, dense_kron, dense_product, dense_rows,
+                     dense_scale, dense_sum, dense_zeros,
+                     frt_relations_reference)
 
 
 def test_n1_space_has_no_relations():
@@ -293,6 +295,139 @@ def test_duality_reports_neither_orientation(sl2, monkeypatch):
     items, notes = _orientation_report(sl2, monkeypatch, column)
     assert list(items.values()) == [False, False]
     assert notes == ["multiplicativity orientation: neither orientation holds"]
+
+
+def _sampled_words(rep, space, max_degree, samples, seed):
+    """The seeded samples of check_duality's two compatibility loops, drawn
+    in its order: the (u, v, a) of `<uv, a>`, then the (u, a, b) of
+    `<u, ab>`."""
+    gens = list(rep.presentation.generators)
+    t_letters = list(range(space.dim ** 2))
+    rng = random.Random(seed)
+
+    def random_u(max_len):
+        return tuple(rng.choice(gens) for _ in range(rng.randint(0, max_len)))
+
+    def random_t(max_len, min_len=0):
+        return tuple(rng.choice(t_letters)
+                     for _ in range(rng.randint(min_len, max_len)))
+
+    triples = [(random_u(max_degree - 1), random_u(max_degree - 1),
+                random_t(max_degree)) for _ in range(samples)]
+    splits = []
+    for _ in range(samples):
+        u = random_u(max_degree)
+        asplit = rng.randint(0, max_degree)
+        splits.append((u, random_t(asplit, asplit),
+                       random_t(max_degree - asplit, 0)))
+    return triples, splits
+
+
+def test_duality_skips_the_columns_of_zero_pairings(sl2, monkeypatch):
+    # a term whose first pairing is zero adds nothing, so its second
+    # pairing is never built; the unskipped loops read every column of
+    # every term
+    rep, space = sl2
+    built = []
+    column = PairingTable.column
+
+    def spy(self, u, k, col):
+        if (u, k, col) not in self._columns:
+            built.append((u, k, col))
+        return column(self, u, k, col)
+
+    monkeypatch.setattr(PairingTable, "column", spy)
+    report = check_duality(rep, space, max_degree=3, samples=200, seed=0)
+    monkeypatch.undo()
+    assert report.passed
+    assert "multiplicativity orientation: direct (plain multiplication " \
+        "order)" in report.notes
+
+    pres = frt_relations(space)
+    triples, splits = _sampled_words(rep, space, 3, 200, 0)
+    table = PairingTable(rep, space.dim)
+    for u, v, a in triples:
+        table.pair(u + v, a)
+        for left, right, _ in pres.coalgebra.delta_word(a):
+            table.pair(u, left)
+            table.pair(v, right)
+    for u, a, b in splits:
+        table.pair(u, a + b)
+        for left, right, _ in rep.presentation.coalgebra.delta_word(u):
+            table.pair(left, a)
+            table.pair(right, b)
+    # the same samples, so every column built is one the reference built
+    assert len(set(built)) == len(built)
+    assert set(built) < set(table._columns)
+
+
+def _dense_entry(t_word, n):
+    """(row, col) of V^(x)k that a t-word of length k pairs with: t_ij
+    contributes the digit i to the row and j to the column, base n."""
+    row = col = 0
+    for letter in t_word:
+        row, col = row * n + letter // n, col * n + letter % n
+    return row, col
+
+
+_DUALITY_CASES = {
+    "sl:2": (lambda: builtin_sl(2), 3),
+    "sl:3": (lambda: builtin_sl(3), 2),
+    "adjoint sl:2": (adjoint_sl2, 3),
+}
+
+
+@pytest.mark.parametrize("name", list(_DUALITY_CASES))
+def test_skipping_sums_match_dense_word_actions(name):
+    # both sampled sums of check_duality, with the second pairing of a term
+    # looked up only when the first is non-zero, against the entries of
+    # dense products of the generator actions on V^(x)k
+    factory, degree = _DUALITY_CASES[name]
+    rep, space = factory()
+    n = rep.dim
+    pres = frt_relations(space)
+    table = PairingTable(rep, n)
+    dense: dict = {}
+
+    def word(u, k):
+        if (u, k) not in dense:
+            dense[u, k] = (dense_identity(n ** k) if not u else dense_product(
+                dense_rows(rep.actions.extended(u[0], k)), word(u[1:], k)))
+        return dense[u, k]
+
+    def skipping_sum(terms, first_pair, second_pair):
+        value, skipped = ZERO, 0
+        for left, right, c in terms:
+            first = first_pair(left)
+            if first.is_zero():
+                skipped += 1
+            else:
+                value = value + first * second_pair(right) * c
+        return value, skipped
+
+    triples, splits = _sampled_words(rep, space, degree, 30, 5)
+    skipped = 0
+    for u, v, a in triples:
+        rhs, s = skipping_sum(pres.coalgebra.delta_word(a),
+                              lambda t: table.pair(u, t),
+                              lambda t: table.pair(v, t))
+        row, col = _dense_entry(a, n)
+        assert rhs == dense_product(word(u, len(a)), word(v, len(a)))[row][col]
+        skipped += s
+    for u, a, b in splits:
+        terms = list(rep.presentation.coalgebra.delta_word(u))
+        rhs, s = skipping_sum(terms, lambda w: table.pair(w, a),
+                              lambda w: table.pair(w, b))
+        row, col = _dense_entry(a + b, n)
+        assert rhs == word(u, len(a) + len(b))[row][col]
+        # the same entry of sum c X_u1 (x) X_u2 on V^(x)|a| (x) V^(x)|b|
+        split = dense_zeros(n ** (len(a) + len(b)), n ** (len(a) + len(b)))
+        for left, right, c in terms:
+            split = dense_sum(split, dense_scale(
+                dense_kron(word(left, len(a)), word(right, len(b))), c))
+        assert rhs == split[row][col]
+        skipped += s
+    assert skipped
 
 
 def test_pairing_rejects_unknown_letter(sl2):

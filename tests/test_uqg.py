@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -363,6 +366,30 @@ def test_preserves_at_2_implies_3(sl2, sl3, sl4):
 def test_gen_names_roundtrip():
     for g in (Gen("E", 0), Gen("F", 2), Gen("K", 1), Gen("Ki", 0)):
         assert Gen.parse(str(g)) == g
+
+
+def test_gen_cached_hash_keeps_the_dataclass_behaviour(sl2):
+    rep, _ = sl2
+    fresh = Gen("E", 0)
+    builtin = next(g for g in rep.presentation.generators if str(g) == "E1")
+    same = (Gen.parse("E1"), builtin, copy.deepcopy(fresh),
+            dataclasses.replace(Gen("F", 0), kind="E"),
+            pickle.loads(pickle.dumps(fresh)))
+    for g in same:
+        assert g == fresh and hash(g) == hash(fresh) == hash(("E", 0))
+        assert {fresh: 1}[g] == 1
+    # string hashes differ between processes, so a pickle carries no hash
+    assert b"_hash" not in pickle.dumps(fresh)
+    moved = dataclasses.replace(fresh, index=1)
+    assert moved == Gen("E", 1) and hash(moved) == hash(("E", 1))
+    assert moved != fresh
+    for field, value in (("kind", "F"), ("index", 1), ("_hash", 0)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(fresh, field, value)
+    assert hash(fresh) == hash(("E", 0))
+    assert repr(fresh) == "Gen(kind='E', index=0)"
+    assert repr(Gen.parse("K2^-1")) == "Gen(kind='Ki', index=1)"
+    assert [f.name for f in dataclasses.fields(Gen)] == ["kind", "index"]
 
 
 def test_coproduct_action_rejects_unknown_generator(sl2):

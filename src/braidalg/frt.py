@@ -263,13 +263,16 @@ def check_duality(rep: Representation, space: BraidedSpace,
 
     def multiplicative(opposite: bool) -> bool:
         """<uv, a> = sum <u, a1><v, a2> on every triple, or with u and v
-        exchanged on the right when `opposite`."""
+        exchanged on the right when `opposite`.  Every <y, a2> reads the
+        same column of X_y, the one that the lhs <uv, a> builds in the
+        plain order, so it is looked up first, and <x, a1> only where
+        <y, a2> is non-zero."""
         for u, v, a in triples:
             x, y = (v, u) if opposite else (u, v)
             rhs = ZERO
             for left, right, c in pres.coalgebra.delta_word(a):
-                if not (first := table.pair(x, left)).is_zero():
-                    term = first * table.pair(y, right)
+                if not (second := table.pair(y, right)).is_zero():
+                    term = table.pair(x, left) * second
                     rhs += term if c is ONE else term * c
             if table.pair(u + v, a) != rhs:
                 return False

@@ -214,7 +214,10 @@ def vec_kron(a: dict, b: dict, dim: int) -> dict:
 
 class Echelon:
     """A fully reduced row-echelon basis of sparse vectors, built
-    incrementally.  Rows are normalized to pivot coefficient 1."""
+    incrementally.  Rows are normalized to pivot coefficient 1.  With the
+    default lowest-index pivots each row's lowest index is its pivot, so
+    the rows are the unique reduced echelon form of the span: the order of
+    the inserts changes the work, never the basis."""
 
     def __init__(self):
         self.pivot_rows: dict[int, dict] = {}

@@ -162,14 +162,23 @@ class RelationSet:
     def spanned_by(cls, alphabet: int, vectors, names=None) -> "RelationSet":
         """The relation set spanned by sparse vectors over the flattened
         degree-2 word indices 0..alphabet**2 - 1; any other index raises
-        `ValueError`."""
+        `ValueError`, naming the first such vector in the given order.
+
+        The vectors are inserted cheapest first: in a stable order by how
+        many of their coefficients are not a single term c*q**k, so the
+        rows that seed the echelon cost few canonicalisations.  The basis
+        cannot change: every pivot row's lowest index is its pivot and no
+        row holds another row's pivot, so `Echelon` always ends at the
+        unique reduced echelon form of the span, whatever the order."""
         out = cls(alphabet, (), names)
         size = alphabet * alphabet
+        vectors = list(vectors)
         for vec in vectors:
             outside = [i for i in vec if not 0 <= i < size]
             if outside:
                 raise ValueError(f"relation vector indices outside "
                                  f"0..{size - 1}: {outside}")
+        for vec in sorted(vectors, key=_non_monomial_count):
             out.span.insert(vec)
         return out
 
@@ -190,6 +199,10 @@ class RelationSet:
             lines.append(f"{word_str(lead, self.names)} = "
                          f"{rest.render(self.names, self.order)}")
         return lines
+
+
+def _non_monomial_count(vec: dict) -> int:
+    return sum(c.as_monomial() is None for c in vec.values())
 
 
 def relations_from_image(space, f: list[Scalar]) -> RelationSet:

@@ -8,7 +8,8 @@ stored as a Python `int` when it is integral and as a `Fraction` (with
 denominator greater than 1) only when it is not.  `Fraction(3) == 3` and
 both hash alike, so equality, hashing and printing do not depend on the
 split; the one division that can meet two ints builds a `Fraction`
-explicitly, so no float ever enters Q(q).
+explicitly, and `LaurentPoly` refuses a float, so no float ever enters
+Q(q).
 
 All values are immutable and all operations are pure, so they are safe to
 share between threads.  Equality of scalars is structural equality of
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as _int_gcd
+from numbers import Integral, Rational
 
 _ONE_COEFFS = {0: 1}  # the coefficients of 1, never mutated
 
@@ -46,6 +48,8 @@ class LaurentPoly:
 
     Zero coefficients are never stored; the zero polynomial is the empty map.
     An integral coefficient is stored as an `int`, any other as a `Fraction`.
+    An exponent that is not an integer, or a coefficient that is not a
+    rational number (a float, say), raises `TypeError`: neither is rounded.
     Instances are treated as immutable after construction.
 
     >>> str(LaurentPoly({1: 1, -1: -1}))
@@ -60,12 +64,20 @@ class LaurentPoly:
         c = {}
         if coeffs:
             for e, v in coeffs.items():
+                if type(e) is not int:
+                    if not isinstance(e, Integral):
+                        raise TypeError(f"exponent {e!r} of q is not an "
+                                        f"integer")
+                    e = int(e)
                 if type(v) is not int:
+                    if not isinstance(v, Rational):
+                        raise TypeError(f"coefficient {v!r} is not a "
+                                        f"rational number")
                     v = Fraction(v)
                     if v.denominator == 1:
                         v = v.numerator
                 if v:
-                    c[int(e)] = v
+                    c[e] = v
         self.coeffs = c
 
     @classmethod

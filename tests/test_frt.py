@@ -9,7 +9,7 @@ from braidalg.frt import (FRTPresentation, PairingTable, _entry_index,
                           _nonzero_pairings, _word_operators, check_duality,
                           frt_coideal_check, frt_hilbert, frt_relations,
                           pairing, t_names)
-from braidalg.linalg import BraidedSpace, SymMatrix, solve_commutant
+from braidalg.linalg import BraidedSpace, Echelon, SymMatrix, solve_commutant
 from braidalg.ncalg import NCPoly, RelationSet, relations_from_image
 from braidalg.scalar import ONE, Q, ZERO, Scalar, parse_poly
 from braidalg.uqg import (Gen, GeneratorCoalgebra, Representation,
@@ -324,9 +324,9 @@ def _sampled_words(rep, space, max_degree, samples, seed):
 
 
 def test_duality_skips_the_columns_of_zero_pairings(sl2, monkeypatch):
-    # a term whose first pairing is zero adds nothing, so its second
-    # pairing is never built; the unskipped loops read every column of
-    # every term
+    # a term whose pairing looked up first (<v, a2> in <uv, a>, <u1, a> in
+    # <u, ab>) is zero adds nothing, so its other pairing is never built;
+    # the unskipped loops read every column of every term
     rep, space = sl2
     built = []
     column = PairingTable.column
@@ -359,6 +359,70 @@ def test_duality_skips_the_columns_of_zero_pairings(sl2, monkeypatch):
     # the same samples, so every column built is one the reference built
     assert len(set(built)) == len(built)
     assert set(built) < set(table._columns)
+
+
+def test_duality_reads_one_column_of_the_right_factor_first(sl3, monkeypatch):
+    # every <v, a2> of a sample reads the same column of X_v, so looking
+    # it up first builds fewer columns than looking up <u, a1> first
+    rep, space = sl3
+    built = []
+    column = PairingTable.column
+
+    def spy(self, u, k, col):
+        if (u, k, col) not in self._columns:
+            built.append((u, k, col))
+        return column(self, u, k, col)
+
+    monkeypatch.setattr(PairingTable, "column", spy)
+    assert check_duality(rep, space, max_degree=3, samples=200,
+                         seed=2).passed
+    monkeypatch.undo()
+
+    pres = frt_relations(space)
+    triples, _ = _sampled_words(rep, space, 3, 200, 2)
+
+    def product_loop(right_first):
+        table = PairingTable(rep, space.dim)
+        for u, v, a in triples:
+            rhs = ZERO
+            for left, right, c in pres.coalgebra.delta_word(a):
+                first, second = ((v, right), (u, left)) if right_first \
+                    else ((u, left), (v, right))
+                if not (value := table.pair(*first)).is_zero():
+                    rhs = rhs + value * table.pair(*second) * c
+            assert table.pair(u + v, a) == rhs
+        return set(table._columns)
+
+    right_first, left_first = product_loop(True), product_loop(False)
+    # the check's <uv, a> loop runs first, on a fresh table
+    assert set(built[:len(right_first)]) == right_first
+    assert len(right_first) < len(left_first)
+
+
+def test_frt_relations_insert_the_cheapest_rows_first(spanned_by_inputs,
+                                                      monkeypatch):
+    # the adjoint commutator rows in the order given cost a plain Echelon
+    # more canonicalisations than all of frt_relations
+    import braidalg.scalar
+    _, space = adjoint_sl2()
+    calls = []
+    canonical = braidalg.scalar._canonical
+
+    def spy(num, den):
+        calls.append(1)
+        return canonical(num, den)
+
+    monkeypatch.setattr(braidalg.scalar, "_canonical", spy)
+    pres = frt_relations(space)
+    sorted_calls = len(calls)
+    calls.clear()
+    in_order = Echelon()
+    for vec in spanned_by_inputs[0]:
+        in_order.insert(vec)
+    monkeypatch.undo()
+    assert in_order.pivot_rows == pres.relations.span.pivot_rows
+    assert pres.rank == 46
+    assert sorted_calls < len(calls)
 
 
 def _dense_entry(t_word, n):

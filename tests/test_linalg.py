@@ -16,6 +16,8 @@ from braidalg.scalar import (LaurentPoly, ONE, Q, ZERO, Scalar, parse_poly,
                              parse_scalar)
 from braidalg.builtin import sl_rtt_matrix
 from braidalg.builtin import adjoint_sl2, builtin_sl, classical_space
+from braidalg.frt import frt_relations
+from braidalg.ncalg import relations_from_image
 from braidalg.uqg import coproduct_action
 
 
@@ -400,3 +402,48 @@ def test_minimal_poly_agrees_with_sympy(m):
     for c, p in zip(mp, powers):
         value = value + p.mul(_domain_scalar(c))
     assert value == zero
+
+
+_row_vectors = st.dictionaries(st.integers(0, 5), _pool, max_size=4).map(
+    lambda v: {i: c for i, c in v.items() if not c.is_zero()})
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_echelon_rows_do_not_depend_on_the_insert_order(data):
+    rows = data.draw(st.lists(_row_vectors, max_size=6))
+    shuffled = data.draw(st.permutations(rows))
+    ech, again = Echelon(), Echelon()
+    for row in rows:
+        ech.insert(row)
+    for row in shuffled:
+        again.insert(row)
+    assert again.pivot_rows == ech.pivot_rows
+
+
+_SPANNED_CASES = {
+    # 81 commutator rows of rank 46 over the 81 t-words
+    "adjoint sl:2 FRT": lambda: frt_relations(adjoint_sl2()[1]).relations,
+    "sl:3 FRT": lambda: frt_relations(builtin_sl(3)[1]).relations,
+    "adjoint sl:2 x + q^-1": lambda: relations_from_image(
+        adjoint_sl2()[1], parse_poly("x + q^-1")),
+}
+
+
+@pytest.mark.parametrize("name", list(_SPANNED_CASES))
+def test_spanned_by_is_the_reduced_echelon_form_of_sympy(name,
+                                                         spanned_by_inputs):
+    # the vectors handed to spanned_by, reduced by sympy in the given order:
+    # the cheapest-first inserts must end at the same pivots and entries
+    rels = _SPANNED_CASES[name]()
+    (vectors,) = spanned_by_inputs
+    size = rels.alphabet ** 2
+
+    def dense(vec):
+        return [_domain_scalar(vec[j]) if j in vec else _K.zero
+                for j in range(size)]
+
+    ref, pivots = DomainMatrix([dense(v) for v in vectors],
+                               (len(vectors), size), _K).rref()
+    assert pivots == tuple(sorted(rels.span.pivot_rows))
+    assert ref.to_list()[:len(pivots)] == [dense(v) for v in rels.span.basis()]

@@ -63,6 +63,10 @@ def test_relation_set_refuses_out_of_range_input():
         RelationSet.spanned_by(2, [{5: ONE}])
     with pytest.raises(ValueError, match=r"outside 0\.\.3: \[-1\]"):
         RelationSet.spanned_by(2, [{0: ONE}, {-1: ONE}])
+    # the vectors are checked in the given order, before the cheapest
+    # (here the second) is inserted first
+    with pytest.raises(ValueError, match=r"outside 0\.\.3: \[7\]"):
+        RelationSet.spanned_by(2, [{0: Q - ONE, 7: ONE}, {-1: ONE}])
     with pytest.raises(ValueError, match=r"outside the alphabet: \[3\]"):
         RelationSet(2, [NCPoly({(0, 3): ONE})])
     assert RelationSet.spanned_by(2, [{0: ONE, 3: Q}]).render() == \

@@ -304,6 +304,21 @@ def test_integral_fraction_is_stored_as_int():
     assert _stored_canonically(half + half) and _stored_canonically(half * 2)
 
 
+def test_float_exponents_and_coefficients_are_refused():
+    # int(0.7) would truncate to q^0, and Fraction(0.1) is the binary
+    # fraction 3602879701896397/2**55, not 1/10
+    for coeffs in ({0.7: 1}, {2.0: 1}, {Fraction(1, 2): 1}, {0: 0.1},
+                   {0: 1.0}, {1: "1"}):
+        with pytest.raises(TypeError):
+            LaurentPoly(coeffs)
+    with pytest.raises(TypeError):
+        Scalar.from_int(0.5)
+    with pytest.raises(TypeError):
+        Scalar.q_power(1.5)
+    assert LaurentPoly({True: Fraction(3, 1), 0: Fraction(1, 10)}).coeffs == \
+        {1: 3, 0: Fraction(1, 10)}
+
+
 def test_product_with_one_is_the_other_factor_as_a_scalar():
     """`ONE` returns the other factor itself, but a plain number is still
     coerced first, so the product is always a `Scalar`."""

@@ -227,6 +227,12 @@ def cmd_frt(args) -> int:
         payload = {"command": "frt", "error": str(exc)}
         return _emit(args, [f"invalid braiding: {exc}"], payload,
                      EXIT_CHECK_FAILED)
+    # the duality check runs first, so that a --pair-with it refuses stops
+    # the command before any other work; its report is printed last
+    duality = None
+    if args.pair_with:
+        rep, _ = _resolve_rep(args.pair_with)
+        duality = check_duality(rep, space, max_degree=args.max_degree)
     pres = frt_relations(space)
     lines = [f"space: {label} (dim {space.dim})",
              f"relations: {pres.rank} independent "
@@ -250,9 +256,7 @@ def cmd_frt(args) -> int:
     lines.append("hilbert: " + ", ".join(str(d) for d in dims))
     payload["hilbert"] = dims
     passed = coideal.passed
-    if args.pair_with:
-        rep, _ = _resolve_rep(args.pair_with)
-        duality = check_duality(rep, space, max_degree=args.max_degree)
+    if duality is not None:
         lines.append(duality.render())
         payload["duality"] = duality.to_json()
         passed = passed and duality.passed

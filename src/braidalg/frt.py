@@ -211,17 +211,24 @@ def check_duality(rep: Representation, space: BraidedSpace,
     does not are all words enumerated, to count the failures, with the
     operators of `_word_operators`, paired by `_nonzero_pairings`.  A
     degree bound or sample count below 1, or an empty relation set, is
-    refused: the check would then cover nothing."""
+    refused: the check would then cover nothing.
+
+    The sampled sums read entries straight from the columns of one
+    `PairingTable`, taking the (row, col) of each sampled t-word once:
+    `<uv, a>` as a walk over one column of X_v (`multiplicative`), with
+    no expansion of the coproduct of a, and `<u, ab>` over the coproduct
+    of u."""
     if max_degree < 1:
         raise ValueError(f"duality check needs max_degree >= 1, got {max_degree}")
     if samples < 1:
         raise ValueError(f"duality check needs samples >= 1, got {samples}")
+    n = space.dim
+    # refuses a representation of another dimension before any work
+    table = PairingTable(rep, n)
     pres = frt_relations(space)
     if not pres.relations.relations:
         raise ValueError("empty relation set: the annihilation check would "
                          "pass without checking anything")
-    # refuses a representation of another dimension before any product
-    table = PairingTable(rep, space.dim)
     gens = list(rep.presentation.generators)
     report = Report(f"finite-degree duality for {rep.name}")
     report.notes.append(pres.convention)
@@ -234,7 +241,7 @@ def check_duality(rep: Representation, space: BraidedSpace,
                for x in (rep.actions.extended(g, 2) for g in gens)):
         # recount over every word, in the order of increasing length, so the
         # failure count and the first witness are those of the full check
-        positions = [[(_entry_index(w, space.dim), c)
+        positions = [[(_entry_index(w, n), c)
                       for w, c in rel.coeffs.items()] for rel in relations]
         for u, idx, value in _nonzero_pairings(
                 _word_operators(rep, max_degree), positions):
@@ -263,18 +270,21 @@ def check_duality(rep: Representation, space: BraidedSpace,
 
     def multiplicative(opposite: bool) -> bool:
         """<uv, a> = sum <u, a1><v, a2> on every triple, or with u and v
-        exchanged on the right when `opposite`.  Every <y, a2> reads the
-        same column of X_y, the one that the lhs <uv, a> builds in the
-        plain order, so it is looked up first, and <x, a1> only where
-        <y, a2> is non-zero."""
+        exchanged on the right when `opposite`.  For a of length k with
+        entry (I, J), delta(t_(I,J)) = sum_K t_(I,K) (x) t_(K,J) with unit
+        coefficients, so the right side is sum_K X_x[I, K] X_y[K, J]: a walk
+        over the non-zero entries K of column J of X_y, the column that
+        the lhs X_uv[I, J] builds in the plain order, reading entry I of
+        column K of X_x for each."""
         for u, v, a in triples:
             x, y = (v, u) if opposite else (u, v)
+            k = len(a)
+            row, col = _entry_index(a, n)
             rhs = ZERO
-            for left, right, c in pres.coalgebra.delta_word(a):
-                if not (second := table.pair(y, right)).is_zero():
-                    term = table.pair(x, left) * second
-                    rhs += term if c is ONE else term * c
-            if table.pair(u + v, a) != rhs:
+            for mid, second in table.column(y, k, col).items():
+                if (first := table.column(x, k, mid).get(row)) is not None:
+                    rhs += first * second
+            if table.column(u + v, k, col).get(row, ZERO) != rhs:
                 return False
         return True
 
@@ -289,10 +299,13 @@ def check_duality(rep: Representation, space: BraidedSpace,
         a = random_t(asplit, asplit)
         b = random_t(max_degree - asplit, 0)
         lhs = table.pair(u, a + b)
+        (row_a, col_a), (row_b, col_b) = _entry_index(a, n), _entry_index(b, n)
         rhs = ZERO
         for left, right, c in rep.presentation.coalgebra.delta_word(u):
-            if not (first := table.pair(left, a)).is_zero():
-                rhs = rhs + first * table.pair(right, b) * c
+            first = table.column(left, len(a), col_a).get(row_a)
+            if first is not None:
+                second = table.column(right, len(b), col_b).get(row_b, ZERO)
+                rhs = rhs + first * second * c
         if lhs != rhs:
             coproduct_ok = False
     report.add(f"<u, ab> = sum <u1, a><u2, b> on {samples} samples",

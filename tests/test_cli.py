@@ -313,6 +313,34 @@ def test_duality_at_degree_0_exits_2():
     assert "randrange" not in proc.stderr
 
 
+@pytest.mark.parametrize("pair_with, extra, message", [
+    ("missing.json", [], "cannot read fixture {path}: [Errno 2] No such "
+                         "file or directory: '{path}'"),
+    ("sl:1", [], "builtin sl(n) needs n >= 2"),
+    ("sl:3", [], "representation dimension must equal n"),
+    ("sl:2", ["--max-degree", "0"],
+     "duality check needs max_degree >= 1, got 0"),
+], ids=["missing-fixture", "no-builtin", "other-dimension", "degree-0"])
+def test_frt_refuses_a_bad_pair_with_before_any_work(
+        pair_with, extra, message, tmp_path, monkeypatch, capsys):
+    import braidalg.cli
+    import braidalg.frt
+    calls = []
+    for module, name in ((braidalg.cli, "frt_relations"),
+                         (braidalg.cli, "frt_coideal_check"),
+                         (braidalg.frt, "frt_relations")):
+        monkeypatch.setattr(module, name,
+                            lambda *args, name=name: calls.append(name))
+    if pair_with.endswith(".json"):
+        pair_with = str(tmp_path / pair_with)
+    code = main(["frt", "--builtin", "sl:2", "--pair-with", pair_with,
+                 *extra])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"error: {message.format(path=pair_with)}\n"
+    assert calls == []
+
+
 def test_chi_relations_fixture_independent_of_order(tmp_path):
     # x2x1 - x2x2 and x1x2 + x2x1 span the same relations in either order
     first = [{"coeff": "1", "word": [2, 1]}, {"coeff": "-1", "word": [2, 2]}]

@@ -324,9 +324,11 @@ def _sampled_words(rep, space, max_degree, samples, seed):
 
 
 def test_duality_skips_the_columns_of_zero_pairings(sl2, monkeypatch):
-    # a term whose pairing looked up first (<v, a2> in <uv, a>, <u1, a> in
-    # <u, ab>) is zero adds nothing, so its other pairing is never built;
-    # the unskipped loops read every column of every term
+    # a coproduct term whose first pairing is zero adds nothing, so its
+    # other pairing is never built: in <uv, a> the walk over column J of
+    # X_v reads column K of X_u only for the non-zero entries K, and in
+    # <u, ab> <u2, b> is read only where <u1, a> is non-zero; the
+    # reference reads every column of every term
     rep, space = sl2
     built = []
     column = PairingTable.column
@@ -362,8 +364,9 @@ def test_duality_skips_the_columns_of_zero_pairings(sl2, monkeypatch):
 
 
 def test_duality_reads_one_column_of_the_right_factor_first(sl3, monkeypatch):
-    # every <v, a2> of a sample reads the same column of X_v, so looking
-    # it up first builds fewer columns than looking up <u, a1> first
+    # every <v, a2> of a sample reads the same column J of X_v; the walk
+    # over its non-zero entries builds the columns of the term loop that
+    # looks <v, a2> up first, and fewer than one looking up <u, a1> first
     rep, space = sl3
     built = []
     column = PairingTable.column
@@ -425,6 +428,85 @@ def test_frt_relations_insert_the_cheapest_rows_first(spanned_by_inputs,
     assert sorted_calls < len(calls)
 
 
+def test_duality_expands_no_t_word_coproduct(sl3, monkeypatch):
+    # the <uv, a> sum reads columns of the word actions directly, so the
+    # matrix coalgebra's delta_word is never called; the <u, ab> sum still
+    # expands the U_q coproduct of u
+    rep, space = sl3
+    owners = []
+    delta_word = GeneratorCoalgebra.delta_word
+
+    def spy(self, word):
+        owners.append(self)
+        return delta_word(self, word)
+
+    monkeypatch.setattr(GeneratorCoalgebra, "delta_word", spy)
+    assert check_duality(rep, space, max_degree=3, samples=200, seed=2).passed
+    assert owners
+    assert all(owner is rep.presentation.coalgebra for owner in owners)
+
+
+def test_duality_takes_each_entry_index_once(sl3, monkeypatch):
+    # (row, col) of a sampled t-word is computed once per sample: of a in
+    # <uv, a>, and of a, b and ab in <u, ab>; frt_relations reads the n^4
+    # degree-2 t-words once each
+    import braidalg.frt
+    rep, space = sl3
+    calls = []
+    entry_index = braidalg.frt._entry_index
+
+    def spy(t_word, n):
+        calls.append(t_word)
+        return entry_index(t_word, n)
+
+    monkeypatch.setattr(braidalg.frt, "_entry_index", spy)
+    samples = 200
+    assert check_duality(rep, space, max_degree=3, samples=samples,
+                         seed=2).passed
+    assert len(calls) <= space.dim ** 4 + samples + 3 * samples
+
+
+def test_duality_fails_a_product_entry_over_an_empty_column(sl2,
+                                                            monkeypatch):
+    # column J of X_v is empty, so the walk for <uv, a> sums nothing; an
+    # entry X_uv[I, J] made non-zero must still fail the item
+    rep, space = sl2
+    n = space.dim
+    # the samples of _orientation_report's check
+    triples, _ = _sampled_words(rep, space, 3, 300, 0)
+    table = PairingTable(rep, n)
+    walked = set()
+    for u, v, a in triples:
+        col = _dense_entry(a, n)[1]
+        walked.add((v, len(a), col))
+        walked.update((u, len(a), mid) for mid in table.column(v, len(a), col))
+    # a sample whose X_uv column no walk reads, so only its own lhs sees it
+    target, row = next(((u + v, len(a), col), row) for u, v, a in triples
+                       for row, col in [_dense_entry(a, n)]
+                       if not table.column(v, len(a), col)
+                       and (u + v, len(a), col) not in walked)
+    assert row not in table.column(*target)
+    column = PairingTable.column
+
+    def corrupted(self, u, k, col):
+        vec = column(self, u, k, col)
+        return {**vec, row: ONE} if (u, k, col) == target else vec
+
+    items, _ = _orientation_report(sl2, monkeypatch, corrupted)
+    assert items["<uv, a> = sum <u, a1><v, a2>"] is False
+
+
+def test_duality_refuses_another_dimension_before_any_work(sl2, sl3,
+                                                           monkeypatch):
+    import braidalg.frt
+    calls = []
+    monkeypatch.setattr(braidalg.frt, "frt_relations",
+                        lambda space: calls.append(space))
+    with pytest.raises(ValueError, match="dimension must equal n"):
+        check_duality(sl3[0], sl2[1], max_degree=2)
+    assert calls == []
+
+
 def _dense_entry(t_word, n):
     """(row, col) of V^(x)k that a t-word of length k pairs with: t_ij
     contributes the digit i to the row and j to the column, base n."""
@@ -445,7 +527,8 @@ _DUALITY_CASES = {
 def test_skipping_sums_match_dense_word_actions(name):
     # both sampled sums of check_duality, with the second pairing of a term
     # looked up only when the first is non-zero, against the entries of
-    # dense products of the generator actions on V^(x)k
+    # dense products of the generator actions on V^(x)k; the <uv, a> sum
+    # also as the walk sum_K X_u[I, K] X_v[K, J] over column J of X_v
     factory, degree = _DUALITY_CASES[name]
     rep, space = factory()
     n = rep.dim
@@ -476,7 +559,11 @@ def test_skipping_sums_match_dense_word_actions(name):
                               lambda t: table.pair(u, t),
                               lambda t: table.pair(v, t))
         row, col = _dense_entry(a, n)
-        assert rhs == dense_product(word(u, len(a)), word(v, len(a)))[row][col]
+        walk = ZERO
+        for mid, second in table.column(v, len(a), col).items():
+            walk = walk + table.column(u, len(a), mid).get(row, ZERO) * second
+        assert rhs == walk == dense_product(word(u, len(a)),
+                                            word(v, len(a)))[row][col]
         skipped += s
     for u, a, b in splits:
         terms = list(rep.presentation.coalgebra.delta_word(u))

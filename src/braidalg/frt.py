@@ -152,6 +152,20 @@ def _entry_index(t_word, n: int) -> tuple[int, int]:
     return row, col
 
 
+def _draw_below(getrandbits, m: int) -> int:
+    """A uniform draw from range(m), m >= 1, by the rejection rule of
+    CPython's `Random._randbelow_with_getrandbits`: `getrandbits(k)` with
+    k = m.bit_length() until it is below m.  `Random.choice(seq)` draws
+    `seq[_randbelow(len(seq))]` and `randint(a, b)` draws
+    `a + _randbelow(b - a + 1)` by the same rule, so a `Random(seed)`
+    consumed through its `getrandbits` here yields their stream."""
+    k = m.bit_length()
+    r = getrandbits(k)
+    while r >= m:
+        r = getrandbits(k)
+    return r
+
+
 def pairing(rep: Representation, u_word, t_word) -> Scalar:
     """<u, t_{i1 j1} ... t_{ik jk}> = the (i-vector, j-vector) entry of the
     action of the word u on the k-th tensor power."""
@@ -213,11 +227,15 @@ def check_duality(rep: Representation, space: BraidedSpace,
     degree bound or sample count below 1, or an empty relation set, is
     refused: the check would then cover nothing.
 
-    The sampled sums read entries straight from the columns of one
-    `PairingTable`, taking the (row, col) of each sampled t-word once:
-    `<uv, a>` as a walk over one column of X_v (`multiplicative`), with
-    no expansion of the coproduct of a, and `<u, ab>` over the coproduct
-    of u."""
+    The samples are those of `rng.choice`/`rng.randint` calls on
+    `rng = Random(seed)` (a word's length drawn before its letters), drawn
+    straight from its `getrandbits` by `_draw_below`, the rule those
+    methods follow.  The sampled sums read entries straight from the
+    columns of one `PairingTable`, taking the (row, col) of each sampled
+    t-word once, that of ab from those of a and b: `<uv, a>` as a walk over
+    one column of X_v (`multiplicative`), with no expansion of the
+    coproduct of a, and `<u, ab>` over the coproduct of u, expanded once
+    per distinct u of the check."""
     if max_degree < 1:
         raise ValueError(f"duality check needs max_degree >= 1, got {max_degree}")
     if samples < 1:
@@ -255,15 +273,17 @@ def check_duality(rep: Representation, space: BraidedSpace,
         f"{len(relations)} relations", bad == 0,
         "" if bad == 0 else f"{bad} non-zero pairings; first: {witness}")
 
-    rng = random.Random(seed)
-    t_letters = list(range(pres.alphabet))
+    getrandbits = random.Random(seed).getrandbits
+    n_gens, n_letters = len(gens), pres.alphabet
 
     def random_u(max_len):
-        return tuple(rng.choice(gens) for _ in range(rng.randint(0, max_len)))
+        return tuple([gens[_draw_below(getrandbits, n_gens)]
+                      for _ in range(_draw_below(getrandbits, max_len + 1))])
 
     def random_t(max_len, min_len=0):
-        return tuple(rng.choice(t_letters)
-                     for _ in range(rng.randint(min_len, max_len)))
+        length = min_len + _draw_below(getrandbits, max_len - min_len + 1)
+        return tuple([_draw_below(getrandbits, n_letters)
+                      for _ in range(length)])
 
     triples = [(random_u(max_degree - 1), random_u(max_degree - 1),
                 random_t(max_degree)) for _ in range(samples)]
@@ -293,15 +313,23 @@ def check_duality(rep: Representation, space: BraidedSpace,
                product_plain)
 
     coproduct_ok = True
+    coalgebra = rep.presentation.coalgebra
+    coproducts: dict = {}
     for _ in range(samples):
         u = random_u(max_degree)
-        asplit = rng.randint(0, max_degree)
+        asplit = _draw_below(getrandbits, max_degree + 1)
+        # a fixed length still takes its draw, as rng.randint(l, l) does
         a = random_t(asplit, asplit)
-        b = random_t(max_degree - asplit, 0)
-        lhs = table.pair(u, a + b)
+        b = random_t(max_degree - asplit)
         (row_a, col_a), (row_b, col_b) = _entry_index(a, n), _entry_index(b, n)
+        # the entry of ab: a's indices are the leading digits of ab's
+        shift = n ** len(b)
+        lhs = table.column(u, len(a) + len(b), col_a * shift + col_b).get(
+            row_a * shift + row_b, ZERO)
+        if (terms := coproducts.get(u)) is None:
+            terms = coproducts[u] = coalgebra.delta_word(u)
         rhs = ZERO
-        for left, right, c in rep.presentation.coalgebra.delta_word(u):
+        for left, right, c in terms:
             first = table.column(left, len(a), col_a).get(row_a)
             if first is not None:
                 second = table.column(right, len(b), col_b).get(row_b, ZERO)

@@ -3,12 +3,13 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from braidalg.builtin import adjoint_sl2, builtin_sl, classical_space
-from braidalg.frt import (FRTPresentation, PairingTable, _entry_index,
-                          _nonzero_pairings, _word_operators, check_duality,
-                          frt_coideal_check, frt_hilbert, frt_relations,
-                          pairing, t_names)
+from braidalg.frt import (FRTPresentation, PairingTable, _draw_below,
+                          _entry_index, _nonzero_pairings, _word_operators,
+                          check_duality, frt_coideal_check, frt_hilbert,
+                          frt_relations, pairing, t_names)
 from braidalg.linalg import BraidedSpace, Echelon, SymMatrix, solve_commutant
 from braidalg.ncalg import NCPoly, RelationSet, relations_from_image
 from braidalg.scalar import ONE, Q, ZERO, Scalar, parse_poly
@@ -448,8 +449,8 @@ def test_duality_expands_no_t_word_coproduct(sl3, monkeypatch):
 
 def test_duality_takes_each_entry_index_once(sl3, monkeypatch):
     # (row, col) of a sampled t-word is computed once per sample: of a in
-    # <uv, a>, and of a, b and ab in <u, ab>; frt_relations reads the n^4
-    # degree-2 t-words once each
+    # <uv, a>, and of a and b in <u, ab>, whose ab entry is derived from
+    # theirs; frt_relations reads the n^4 degree-2 t-words once each
     import braidalg.frt
     rep, space = sl3
     calls = []
@@ -463,7 +464,55 @@ def test_duality_takes_each_entry_index_once(sl3, monkeypatch):
     samples = 200
     assert check_duality(rep, space, max_degree=3, samples=samples,
                          seed=2).passed
-    assert len(calls) <= space.dim ** 4 + samples + 3 * samples
+    assert len(calls) <= space.dim ** 4 + 3 * samples
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 64), sizes=st.permutations(range(1, 41)),
+       kinds=st.lists(st.booleans(), min_size=40, max_size=40),
+       low=st.integers(-3, 3))
+def test_draws_follow_the_stream_of_choice_and_randint(seed, sizes, kinds,
+                                                       low):
+    # interleaved draws from one getrandbits equal the same sequence of
+    # choice and randint calls on a second Random of the seed
+    getrandbits = random.Random(seed).getrandbits
+    rng = random.Random(seed)
+    for m, is_choice in zip(sizes, kinds):
+        expected = (rng.choice(range(m)) if is_choice
+                    else rng.randint(low, low + m - 1) - low)
+        assert _draw_below(getrandbits, m) == expected
+
+
+def test_duality_draws_without_choice_or_randint(sl3, monkeypatch):
+    rep, space = sl3
+    expected = check_duality(rep, space, max_degree=3, seed=2).render()
+
+    def refuse(*args):
+        raise AssertionError("drawn through a Random method")
+
+    monkeypatch.setattr(random.Random, "choice", refuse)
+    monkeypatch.setattr(random.Random, "randint", refuse)
+    report = check_duality(rep, space, max_degree=3, seed=2)
+    assert report.passed
+    assert report.render() == expected
+
+
+def test_duality_expands_each_sampled_coproduct_once(sl3, monkeypatch):
+    rep, space = sl3
+    expanded = []
+    delta_word = GeneratorCoalgebra.delta_word
+
+    def spy(self, word):
+        expanded.append(tuple(word))
+        return delta_word(self, word)
+
+    monkeypatch.setattr(GeneratorCoalgebra, "delta_word", spy)
+    assert check_duality(rep, space, max_degree=3, samples=200, seed=2).passed
+    _, splits = _sampled_words(rep, space, 3, 200, 2)
+    distinct = {u for u, _, _ in splits}
+    assert len(distinct) < len(splits)
+    assert len(expanded) == len(set(expanded))
+    assert set(expanded) == distinct
 
 
 def test_duality_fails_a_product_entry_over_an_empty_column(sl2,

@@ -7,6 +7,8 @@ derived by cabling the vector braiding.
 
 from __future__ import annotations
 
+import re
+
 from .linalg import (BraidedSpace, SymMatrix, extend_braiding, linear_solve,
                      nullspace, vec_kron)
 from .ncalg import NCPoly, RelationSet
@@ -135,7 +137,8 @@ def _restrict_to(op: SymMatrix, basis: list[dict], dim: int) -> SymMatrix:
 
 
 def resolve_builtin(spec: str):
-    """Resolve 'sl:n' to (Representation, BraidedSpace)."""
-    if spec.startswith("sl:"):
-        return builtin_sl(int(spec.split(":", 1)[1]))
+    """Resolve 'sl:n', n in ASCII digits, to (Representation,
+    BraidedSpace)."""
+    if match := re.fullmatch(r"sl:([0-9]+)", spec):
+        return builtin_sl(int(match[1]))
     raise ValueError(f"unknown builtin {spec!r} (expected 'sl:n')")

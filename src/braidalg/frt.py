@@ -153,13 +153,10 @@ def _entry_index(t_word, n: int) -> tuple[int, int]:
 
 
 def _draw_below(getrandbits, m: int) -> int:
-    """A uniform draw from range(m), m >= 1, by the rejection rule of
-    CPython's `Random._randbelow_with_getrandbits`: `getrandbits(k)` with
-    k = m.bit_length() until it is below m.  `Random.choice(seq)` draws
-    `seq[_randbelow(len(seq))]` and `randint(a, b)` draws
-    `a + _randbelow(b - a + 1)` by the same rule, so a `Random(seed)`
-    consumed through its `getrandbits` here yields their stream."""
-    k = m.bit_length()
+    """A uniform draw from range(m), m >= 1: `getrandbits(k)` with
+    k = (m - 1).bit_length() until it is below m.  A power of two takes one
+    call, and m = 1 takes `getrandbits(0)`, which is 0 and spends no state."""
+    k = (m - 1).bit_length()
     r = getrandbits(k)
     while r >= m:
         r = getrandbits(k)
@@ -227,13 +224,14 @@ def check_duality(rep: Representation, space: BraidedSpace,
     degree bound or sample count below 1, or an empty relation set, is
     refused: the check would then cover nothing.
 
-    The samples are those of `rng.choice`/`rng.randint` calls on
-    `rng = Random(seed)` (a word's length drawn before its letters), drawn
-    straight from its `getrandbits` by `_draw_below`, the rule those
-    methods follow.  The sampled sums read entries straight from the
-    columns of one `PairingTable`, taking the (row, col) of each sampled
-    t-word once, that of ab from those of a and b: `<uv, a>` as a walk over
-    one column of X_v (`multiplicative`), with no expansion of the
+    The samples are drawn from `Random(seed).getrandbits` by `_draw_below`,
+    a word's length before its letters.  A t-word of length k pairs with
+    the entry (row, col) of an action on V^(x)k that its letters' digits
+    spell, so a sampled t-word is drawn as that entry (k, row, col), with
+    row and col uniform below n^k: the same as a uniform t-word of length
+    k.  The sampled sums read entries straight from the columns of one
+    `PairingTable`, that of ab from those of a and b: `<uv, a>` as a walk
+    over one column of X_v (`multiplicative`), with no expansion of the
     coproduct of a, and `<u, ab>` over the coproduct of u, expanded once
     per distinct u of the check."""
     if max_degree < 1:
@@ -274,19 +272,20 @@ def check_duality(rep: Representation, space: BraidedSpace,
         "" if bad == 0 else f"{bad} non-zero pairings; first: {witness}")
 
     getrandbits = random.Random(seed).getrandbits
-    n_gens, n_letters = len(gens), pres.alphabet
+    n_gens = len(gens)
 
     def random_u(max_len):
         return tuple([gens[_draw_below(getrandbits, n_gens)]
                       for _ in range(_draw_below(getrandbits, max_len + 1))])
 
-    def random_t(max_len, min_len=0):
-        length = min_len + _draw_below(getrandbits, max_len - min_len + 1)
-        return tuple([_draw_below(getrandbits, n_letters)
-                      for _ in range(length)])
+    def random_entry(max_len):
+        k = _draw_below(getrandbits, max_len + 1)
+        size = n ** k
+        return (k, _draw_below(getrandbits, size),
+                _draw_below(getrandbits, size))
 
     triples = [(random_u(max_degree - 1), random_u(max_degree - 1),
-                random_t(max_degree)) for _ in range(samples)]
+                random_entry(max_degree)) for _ in range(samples)]
 
     def multiplicative(opposite: bool) -> bool:
         """<uv, a> = sum <u, a1><v, a2> on every triple, or with u and v
@@ -296,10 +295,8 @@ def check_duality(rep: Representation, space: BraidedSpace,
         over the non-zero entries K of column J of X_y, the column that
         the lhs X_uv[I, J] builds in the plain order, reading entry I of
         column K of X_x for each."""
-        for u, v, a in triples:
+        for u, v, (k, row, col) in triples:
             x, y = (v, u) if opposite else (u, v)
-            k = len(a)
-            row, col = _entry_index(a, n)
             rhs = ZERO
             for mid, second in table.column(y, k, col).items():
                 if (first := table.column(x, k, mid).get(row)) is not None:
@@ -317,22 +314,19 @@ def check_duality(rep: Representation, space: BraidedSpace,
     coproducts: dict = {}
     for _ in range(samples):
         u = random_u(max_degree)
-        asplit = _draw_below(getrandbits, max_degree + 1)
-        # a fixed length still takes its draw, as rng.randint(l, l) does
-        a = random_t(asplit, asplit)
-        b = random_t(max_degree - asplit)
-        (row_a, col_a), (row_b, col_b) = _entry_index(a, n), _entry_index(b, n)
+        ka, row_a, col_a = random_entry(max_degree)
+        kb, row_b, col_b = random_entry(max_degree - ka)
         # the entry of ab: a's indices are the leading digits of ab's
-        shift = n ** len(b)
-        lhs = table.column(u, len(a) + len(b), col_a * shift + col_b).get(
+        shift = n ** kb
+        lhs = table.column(u, ka + kb, col_a * shift + col_b).get(
             row_a * shift + row_b, ZERO)
         if (terms := coproducts.get(u)) is None:
             terms = coproducts[u] = coalgebra.delta_word(u)
         rhs = ZERO
         for left, right, c in terms:
-            first = table.column(left, len(a), col_a).get(row_a)
+            first = table.column(left, ka, col_a).get(row_a)
             if first is not None:
-                second = table.column(right, len(b), col_b).get(row_b, ZERO)
+                second = table.column(right, kb, col_b).get(row_b, ZERO)
                 rhs = rhs + first * second * c
         if lhs != rhs:
             coproduct_ok = False

@@ -435,6 +435,37 @@ def test_builtin_space_is_not_built_again(monkeypatch, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("spec", ["sl:3_0", "sl: 3", "sl:\u0663", "sl:x",
+                                  "sl:", "sl:+3", "sl:3\n"],
+                         ids=["underscore", "space", "arabic-indic", "letter",
+                              "empty", "plus", "newline"])
+def test_builtin_spec_other_than_ascii_digits_exits_2(spec, tmp_path,
+                                                       monkeypatch, capsys):
+    # int() would read sl:3_0 as sl:30 and sl: 3 or sl:<Arabic-Indic 3> as
+    # sl:3; each is refused before a builtin is built
+    import braidalg.builtin
+    rep, space = builtin_sl(2)
+    rmatrix = tmp_path / "r.json"
+    write_fixture({"kind": "rmatrix", "dim": 2, "form": "braiding",
+                   "entries": matrix_entries(space.braiding)}, rmatrix)
+    fixture = tmp_path / "rep.json"
+    doc = representation_fixture(rep)
+    doc["rmatrix"] = {"builtin": spec}
+    write_fixture(doc, fixture)
+    built = []
+    monkeypatch.setattr(braidalg.builtin, "builtin_sl", built.append)
+    for argv in (["frt", "--builtin", spec, "--max-degree", "1"],
+                 ["check", "--rep", spec, "relations"],
+                 ["frt", "--input", str(rmatrix), "--pair-with", spec],
+                 ["check", "--rep", str(fixture), "relations"]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            f"error: unknown builtin {spec!r} (expected 'sl:n')\n"
+    assert built == []
+
+
 def test_non_braid_fixture_is_invalid_for_chi_and_frt(tmp_path, capsys):
     bad = SymMatrix.from_diagonal([ONE, ONE, ONE, ONE]) + \
         SymMatrix.unit(4, 1, 2)

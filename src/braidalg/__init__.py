@@ -11,7 +11,7 @@ from .linalg import (BraidCheck, BraidedSpace, BraidEquationError,
                      image_subspace, invert, kron, minimal_poly,
                      solve_commutant)
 from .ncalg import (DegreeBoundError, NCPoly, RelationSet, RewriteSystem,
-                    WordOrder, complete_rewrite, hilbert, hilbert_oracle,
+                    complete_rewrite, hilbert, hilbert_oracle,
                     relations_from_image)
 from .uqg import (CartanData, Gen, GeneratorCoalgebra, Representation,
                   UqPresentation, act_on_quotient, check_antipode,
@@ -31,7 +31,7 @@ __all__ = [
     "BraidCheck", "BraidedSpace", "BraidEquationError", "SymMatrix",
     "check_braid", "extend_braiding", "flip_matrix", "image_subspace",
     "invert", "kron", "minimal_poly", "solve_commutant",
-    "DegreeBoundError", "NCPoly", "RelationSet", "RewriteSystem", "WordOrder",
+    "DegreeBoundError", "NCPoly", "RelationSet", "RewriteSystem",
     "complete_rewrite", "hilbert", "hilbert_oracle", "relations_from_image",
     "CartanData", "Gen", "GeneratorCoalgebra", "Representation",
     "UqPresentation", "act_on_quotient", "check_antipode",

@@ -327,11 +327,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (CliError, FixtureError, ValueError) as exc:
-        if isinstance(exc, BraidEquationError):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CHECK_FAILED
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return (EXIT_CHECK_FAILED if isinstance(exc, BraidEquationError)
+                else EXIT_USAGE)
 
 
 if __name__ == "__main__":

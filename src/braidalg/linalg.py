@@ -435,7 +435,7 @@ class BraidedSpace:
     equation and invertibility are verified at construction.
     """
 
-    __slots__ = ("dim", "rtt", "braiding", "braiding_inverse")
+    __slots__ = ("dim", "rtt", "braiding")
 
     def __init__(self, rtt: SymMatrix):
         n = _int_sqrt(rtt.rows)
@@ -447,10 +447,8 @@ class BraidedSpace:
         check = check_braid(self.braiding)
         if not check.holds:
             raise BraidEquationError(check.describe())
-        inv = invert(self.braiding)
-        if inv is None:
+        if invert(self.braiding) is None:
             raise ValueError("braiding is not invertible")
-        self.braiding_inverse = inv
 
     @classmethod
     def from_braiding(cls, braiding: SymMatrix) -> "BraidedSpace":

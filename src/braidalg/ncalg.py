@@ -2,9 +2,11 @@
 sets, bounded-degree overlap completion of rewrite systems, normal forms and
 graded dimensions of quotients of tensor algebras.
 
-Words are tuples of 0-based generator indices.  The monomial order is
-degree-lexicographic with lower indices ranked higher, so relations orient
-as x_i x_j -> c x_j x_i for i < j.
+Words are tuples of 0-based generator indices.  One rule picks leading
+words: relations and rewrite rules are rows of an `Echelon` over words, and
+a row's pivot, its lowest word, is its leading word.  All of them are
+homogeneous, so this is degree-lexicographic order with lower indices ranked
+higher, and relations orient as x_i x_j -> c x_j x_i for i < j.
 """
 
 from __future__ import annotations
@@ -21,26 +23,6 @@ Word = tuple
 
 class DegreeBoundError(ValueError):
     """A normal form was requested beyond the completion degree bound."""
-
-
-class WordOrder:
-    """Degree-lexicographic order on words, lower indices ranked higher.
-
-    The sort key is ordered so that smaller keys mean greater words.
-    """
-
-    def key(self, word: Word):
-        return (-len(word), word)
-
-    def greater(self, a: Word, b: Word) -> bool:
-        return self.key(a) < self.key(b)
-
-    def leading(self, coeffs: dict) -> Word:
-        return min(coeffs, key=self.key)
-
-    def sorted_words(self, words) -> list:
-        """Words in decreasing order."""
-        return sorted(words, key=self.key)
 
 
 class NCPoly:
@@ -102,9 +84,9 @@ class NCPoly:
     def __hash__(self) -> int:
         return hash(frozenset(self.coeffs.items()))
 
-    def render(self, names, order: WordOrder | None = None) -> str:
-        words = (order.sorted_words(self.coeffs) if order
-                 else sorted(self.coeffs, key=lambda w: (len(w), w)))
+    def render(self, names) -> str:
+        """The terms in decreasing degree-lexicographic order."""
+        words = sorted(self.coeffs, key=lambda w: (-len(w), w))
         return join_terms((self.coeffs[w], word_str(w, names)) for w in words)
 
     def __repr__(self) -> str:
@@ -125,11 +107,11 @@ class RelationSet:
     kept as the reduced echelon basis of R.
 
     `span` is the `linalg.Echelon` of R over the flattened word indices
-    w[0] * alphabet + w[1]; its lowest-index pivot is the leading word.
-    `relations` reads that basis as polynomials: each relation is monic in
-    its leading word, leading words are distinct, and no relation's leading
-    word occurs in another relation.  The basis depends only on R, not on
-    the order or the choice of the relations given.
+    w[0] * alphabet + w[1].  `relations` reads that basis as polynomials: a
+    row's pivot, its lowest word, is its leading word, so each relation is
+    monic in its leading word, leading words are distinct, and no relation's
+    leading word occurs in another relation.  The basis depends only on R,
+    not on the order or the choice of the relations given.
 
     `names` print the generators (default x1..xn).  They must be distinct,
     non-empty and free of whitespace, so that a printed word splits back
@@ -139,7 +121,6 @@ class RelationSet:
 
     def __init__(self, alphabet: int, relations, names=None):
         self.alphabet = alphabet
-        self.order = WordOrder()
         self.names = list(names) if names else default_names(alphabet)
         if (len(self.names) != alphabet or len(set(self.names)) != alphabet
                 or any(not name or any(ch.isspace() for ch in name)
@@ -194,11 +175,16 @@ class RelationSet:
         """Paper-style equations `lead = -(rest)`, ordered by leading word."""
         lines = []
         for rel in self.relations:
-            lead = self.order.leading(rel.coeffs)
-            rest = NCPoly({w: -c for w, c in rel.coeffs.items() if w != lead})
+            lead, rest = _oriented(rel.coeffs)
             lines.append(f"{word_str(lead, self.names)} = "
-                         f"{rest.render(self.names, self.order)}")
+                         f"{rest.render(self.names)}")
         return lines
+
+
+def _oriented(coeffs: dict) -> tuple[Word, NCPoly]:
+    """An echelon row monic in its lowest word, as (lead, -(the rest))."""
+    lead = min(coeffs)
+    return lead, NCPoly._of({w: -c for w, c in coeffs.items() if w != lead})
 
 
 def _non_monomial_count(vec: dict) -> int:
@@ -231,7 +217,6 @@ class RewriteSystem:
                  rules: dict, log: CompletionLog):
         self.relations = relations
         self.alphabet = relations.alphabet
-        self.order = relations.order
         self.names = relations.names
         self.degree_bound = degree_bound
         self.rules = rules
@@ -298,8 +283,7 @@ class RewriteSystem:
 def complete_rewrite(relations: RelationSet, max_degree: int) -> RewriteSystem:
     """The reduced rewrite system of the quotient through `max_degree`:
     each relation oriented as leading word -> minus the rest, plus the rules
-    that resolve every overlap ambiguity up to that degree.  Deterministic
-    under the declared order.
+    that resolve every overlap ambiguity up to that degree.  Deterministic.
 
     All rules are homogeneous, so the overlaps of degree d involve only rules
     of lower degree, and a rule of degree d makes no overlap of degree d.
@@ -323,10 +307,7 @@ def complete_rewrite(relations: RelationSet, max_degree: int) -> RewriteSystem:
     """
     if max_degree < 2:
         raise ValueError("completion degree bound must be at least 2")
-    rules: dict[Word, NCPoly] = {}
-    for rel in relations.relations:
-        lead = relations.order.leading(rel.coeffs)
-        rules[lead] = NCPoly({w: -c for w, c in rel.coeffs.items() if w != lead})
+    rules = dict(_oriented(rel.coeffs) for rel in relations.relations)
     rs = RewriteSystem(relations, max_degree, rules, CompletionLog())
     for degree in range(3, max_degree + 1):
         # leads by (proper prefix, letters after it): a lead v sharing the
@@ -343,9 +324,7 @@ def complete_rewrite(relations: RelationSet, max_degree: int) -> RewriteSystem:
                             - NCPoly.monomial(u[:-ell]) * rules[v])
                     ech.insert(rs.normal_form(diff).coeffs)
         if ech.rank:
-            for lead, row in sorted(ech.pivot_rows.items()):
-                rules[lead] = NCPoly({w: -c for w, c in row.items()
-                                      if w != lead})
+            rules.update(map(_oriented, ech.basis()))
             rs.log.rules_added[degree] = ech.rank
             rs._lengths = sorted({len(w) for w in rules})
             rs._nf_cache.clear()

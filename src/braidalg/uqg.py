@@ -71,6 +71,17 @@ class CartanData:
 
     def __post_init__(self):
         a = self.matrix
+        self._check_matrix(a)
+        n = len(a)
+        if len(self.d) != n or any(di <= 0 for di in self.d):
+            raise ValueError("symmetrizers must be positive")
+        for i in range(n):
+            for j in range(n):
+                if self.d[i] * a[i][j] != self.d[j] * a[j][i]:
+                    raise ValueError("d_i a_ij is not symmetric")
+
+    @staticmethod
+    def _check_matrix(a):
         n = len(a)
         if any(len(row) != n for row in a):
             raise ValueError("Cartan matrix must be square")
@@ -83,12 +94,6 @@ class CartanData:
                         raise ValueError("off-diagonal Cartan entries must be <= 0")
                     if (a[i][j] == 0) != (a[j][i] == 0):
                         raise ValueError("zero pattern must be symmetric")
-        if len(self.d) != n or any(di <= 0 for di in self.d):
-            raise ValueError("symmetrizers must be positive")
-        for i in range(n):
-            for j in range(n):
-                if self.d[i] * a[i][j] != self.d[j] * a[j][i]:
-                    raise ValueError("d_i a_ij is not symmetric")
 
     @property
     def rank(self) -> int:
@@ -107,9 +112,11 @@ class CartanData:
     @classmethod
     def from_matrix(cls, matrix, d=None) -> "CartanData":
         matrix = tuple(tuple(int(x) for x in row) for row in matrix)
-        if d is not None:
-            return cls(matrix, tuple(int(x) for x in d))
-        return cls(matrix, _symmetrizers(matrix))
+        if d is None:
+            # the symmetrizers divide by entries the checks keep non-zero
+            cls._check_matrix(matrix)
+            d = _symmetrizers(matrix)
+        return cls(matrix, tuple(int(x) for x in d))
 
 
 def _symmetrizers(a) -> tuple:
@@ -593,8 +600,7 @@ def _measure(report: Report, actions: ActionTable, rs: RewriteSystem,
                     witness = (f"a={word_str(a, rs.names)} "
                                f"b={word_str(b, rs.names)}")
                     if show_residual:
-                        witness += (" residual="
-                                    + residual.render(rs.names, rs.order))
+                        witness += " residual=" + residual.render(rs.names)
         report.add(f"{s} {verb} ({len(pairs)} pairs)", bad == 0,
                    "" if bad == 0 else f"{bad} counterexamples; first: {witness}")
     return report

@@ -95,11 +95,15 @@ def completion_reference(relations, max_degree: int):
     `max_degree`.  Normal forms come from a `RewriteSystem` rebuilt, with an
     empty memo, after each new rule and once per interreduction pass; the
     reduced rules that the loop ends with do not depend on which equivalent
-    normal forms a stale memo hands out within a pass."""
-    order = relations.order
+    normal forms a stale memo hands out within a pass.  Words are ordered
+    degree-lexicographically, lower indices ranked higher, by a key of its
+    own, not by the library's echelon pivots."""
+    def deglex(word):
+        return (-len(word), word)
+
     rules = {}
     for rel in relations.relations:
-        lead = order.leading(rel.coeffs)
+        lead = min(rel.coeffs, key=deglex)
         rules[lead] = NCPoly({w: -c for w, c in rel.coeffs.items() if w != lead})
     added: dict[int, int] = {}
 
@@ -110,8 +114,8 @@ def completion_reference(relations, max_degree: int):
     for degree in range(3, max_degree + 1):
         while True:
             new_rules = []
-            for u in order.sorted_words(rules):
-                for v in order.sorted_words(rules):
+            for u in sorted(rules, key=deglex):
+                for v in sorted(rules, key=deglex):
                     for ell in range(1, min(len(u), len(v))):
                         if (len(u) + len(v) - ell != degree
                                 or u[len(u) - ell:] != v[:ell]):
@@ -127,7 +131,7 @@ def completion_reference(relations, max_degree: int):
                 s = rs.normal_form(s)
                 if s.is_zero():
                     continue
-                lead = order.leading(s.coeffs)
+                lead = min(s.coeffs, key=deglex)
                 rules[lead] = (s - NCPoly.monomial(lead, s.coeffs[lead])) \
                     .scale(-s.coeffs[lead].inverse())
                 added[degree] = added.get(degree, 0) + 1

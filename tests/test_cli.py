@@ -528,3 +528,20 @@ def test_representation_fixture_refuses_non_integers(tmp_path, capsys, key,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+
+
+@pytest.mark.parametrize("matrix", [[[2, -1], [0, 2]], [[2], [-1, 2]]],
+                         ids=["zero-pattern", "ragged"])
+def test_representation_fixture_with_invalid_cartan_matrix_exits_2(tmp_path,
+                                                                   matrix):
+    # with no cartan.d the symmetrizers are derived from the matrix
+    rep, _ = builtin_sl(2)
+    doc = representation_fixture(rep)
+    doc["cartan"] = {"matrix": matrix}
+    fixture = tmp_path / "rep.json"
+    write_fixture(doc, fixture)
+    proc = run_cli(["check", "--rep", str(fixture), "relations"])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "invalid Cartan data" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -98,7 +98,7 @@ def test_polynomials_of_non_square_matrices_are_refused():
 def test_braided_space_construction_validates():
     spaces = [BraidedSpace(sl_rtt_matrix(n)) for n in (2, 3)]
     for sp in spaces:
-        assert sp.braiding * sp.braiding_inverse == \
+        assert sp.braiding * invert(sp.braiding) == \
             SymMatrix.identity(sp.dim ** 2)
     with pytest.raises(BraidEquationError):
         BraidedSpace.from_braiding(SymMatrix.from_diagonal([Q, ONE, ONE, ONE])

@@ -3,11 +3,14 @@ depend on the order or the choice of the relations that span it."""
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from braidalg.builtin import builtin_sl, sp4_symmetric_relations
+from braidalg.builtin import adjoint_sl2, builtin_sl, sp4_symmetric_relations
+from braidalg.fixtures import relations_from_fixture
 from braidalg.frt import frt_relations
-from braidalg.ncalg import NCPoly, RelationSet, relations_from_image
+from braidalg.ncalg import (NCPoly, RelationSet, complete_rewrite, index_word,
+                            relations_from_image, word_str)
 from braidalg.scalar import ONE, Q, parse_poly
 
 # x2x1 - x2x2 and x1x2 + x2x1: the second relation's other word is the
@@ -33,7 +36,7 @@ CASES = _cases()
 def _assert_reduced(rels: RelationSet):
     """Monic, distinct leading words, and no leading word in another
     relation, read off the polynomial coefficients."""
-    leads = [rels.order.leading(rel.coeffs) for rel in rels.relations]
+    leads = [min(rel.coeffs) for rel in rels.relations]
     assert len(set(leads)) == len(leads)
     for lead, rel in zip(leads, rels.relations):
         assert rel.coeffs[lead] == ONE
@@ -82,3 +85,47 @@ def test_relations_independent_of_order_and_choice(case, seed):
     assert again.relations == base.relations
     assert again.render() == base.render()
     _assert_reduced(again)
+
+
+def _assert_pivots_lead(rels: RelationSet):
+    """Each rendered relation and each degree-2 rule of the completion leads
+    with the word of an echelon pivot, in pivot order."""
+    n = rels.alphabet
+    pivots = [index_word(p, n, 2) for p in sorted(rels.span.pivot_rows)]
+    assert [line.split(" = ")[0] for line in rels.render()] == \
+        [word_str(w, rels.names) for w in pivots]
+    assert list(complete_rewrite(rels, 2).rules) == pivots
+
+
+_SETS = {
+    "sp4": sp4_symmetric_relations,
+    "frt sl:3": lambda: frt_relations(builtin_sl(3)[1]).relations,
+    "frt adjoint": lambda: frt_relations(adjoint_sl2()[1]).relations,
+} | {f"sl:{n} {poly}": lambda n=n, poly=poly: relations_from_image(
+    builtin_sl(n)[1], parse_poly(poly))
+    for n in (2, 3, 4) for poly in ("x - q", "x + q^-1")}
+
+
+@pytest.mark.parametrize("name", _SETS)
+def test_echelon_pivots_are_the_leading_words(name):
+    _assert_pivots_lead(_SETS[name]())
+
+
+_COEFFS = ["1", "-1", "q", "-q^-2", "2", "q - q^-1", "1/(q + 1)"]
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(2, 3), data=st.data())
+def test_fixture_relations_lead_with_their_pivots_in_either_order(n, data):
+    word = st.lists(st.integers(1, n), min_size=2, max_size=2)
+    term = st.fixed_dictionaries({"word": word,
+                                  "coeff": st.sampled_from(_COEFFS)})
+    rels = data.draw(st.lists(st.lists(term, min_size=1, max_size=3),
+                              min_size=1, max_size=4))
+    renders = []
+    for given_rels in (rels, rels[::-1]):
+        rel_set = relations_from_fixture(
+            {"kind": "relations", "alphabet": n, "relations": given_rels})
+        _assert_pivots_lead(rel_set)
+        renders.append(rel_set.render())
+    assert renders[0] == renders[1]

@@ -40,15 +40,9 @@ def builtin_sl(n: int):
     pres = presentation_from_cartan(CartanData.sl(n))
     assign = {}
     for i in range(n - 1):
-        k_entries = [[ZERO] * n for _ in range(n)]
-        for a in range(n):
-            if a == i:
-                k_entries[a][a] = Q.inverse()
-            elif a == i + 1:
-                k_entries[a][a] = Q
-            else:
-                k_entries[a][a] = ONE
-        assign[Gen("K", i)] = SymMatrix(k_entries)
+        assign[Gen("K", i)] = SymMatrix.from_diagonal(
+            Q.inverse() if a == i else Q if a == i + 1 else ONE
+            for a in range(n))
         assign[Gen("E", i)] = SymMatrix.unit(n, i + 1, i)
         assign[Gen("F", i)] = SymMatrix.unit(n, i, i + 1)
     rep = Representation(pres, assign, name=f"sl:{n} vector representation")

@@ -8,6 +8,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from .builtin import resolve_builtin
 from .linalg import BraidedSpace, SymMatrix, flip_matrix
 from .ncalg import NCPoly, RelationSet
 from .scalar import ZERO, Scalar, ScalarParseError, parse_scalar
@@ -94,7 +95,7 @@ def representation_from_fixture(doc: dict):
                           or any(type(x) is not int for x in d)):
         raise FixtureError("cartan.d must be a list of integers")
     try:
-        cartan = CartanData.from_matrix(matrix, d)
+        cartan = CartanData(matrix, d)
     except (TypeError, ValueError) as exc:
         raise FixtureError(f"invalid Cartan data: {exc}") from exc
     dim = doc.get("dim")
@@ -119,13 +120,14 @@ def representation_from_fixture(doc: dict):
     space = None
     rdoc = doc.get("rmatrix")
     if rdoc is not None:
-        if isinstance(rdoc, dict) and "builtin" in rdoc:
-            from .builtin import resolve_builtin
+        if (not isinstance(rdoc, dict)
+                or not isinstance(rdoc.get("builtin", ""), str)):
+            raise FixtureError("representation fixture 'rmatrix' must be an "
+                               "rmatrix object or {\"builtin\": \"sl:n\"}")
+        if "builtin" in rdoc:
             _, space = resolve_builtin(rdoc["builtin"])
         else:
-            rdoc = dict(rdoc)
-            rdoc.setdefault("kind", "rmatrix")
-            space = space_from_fixture(rdoc)
+            space = space_from_fixture({"kind": "rmatrix", **rdoc})
     return rep, space
 
 

@@ -21,7 +21,7 @@ from .scalar import ONE, ZERO, Scalar
 
 
 class BraidEquationError(ValueError):
-    """The candidate operator does not satisfy the braid equation."""
+    """The operator is not an invertible solution of the braid equation."""
 
 
 class SymMatrix:
@@ -448,7 +448,7 @@ class BraidedSpace:
         if not check.holds:
             raise BraidEquationError(check.describe())
         if invert(self.braiding) is None:
-            raise ValueError("braiding is not invertible")
+            raise BraidEquationError("braiding is not invertible")
 
     @classmethod
     def from_braiding(cls, braiding: SymMatrix) -> "BraidedSpace":

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import lcm
 
 from .linalg import (BraidedSpace, Echelon, SymMatrix, combine,
                      extend_braiding, invert, kron, vec_add_scaled)
@@ -64,24 +64,16 @@ GenPoly = dict  # {GenWord: Scalar}
 
 @dataclass(frozen=True)
 class CartanData:
-    """A symmetrizable Cartan matrix with its symmetrizers d_i."""
+    """A symmetrizable Cartan matrix with its symmetrizers d_i, derived
+    from the matrix when not given.  Both are stored as tuples of ints."""
 
     matrix: tuple
-    d: tuple
+    d: tuple | None = None
 
     def __post_init__(self):
-        a = self.matrix
-        self._check_matrix(a)
-        n = len(a)
-        if len(self.d) != n or any(di <= 0 for di in self.d):
-            raise ValueError("symmetrizers must be positive")
-        for i in range(n):
-            for j in range(n):
-                if self.d[i] * a[i][j] != self.d[j] * a[j][i]:
-                    raise ValueError("d_i a_ij is not symmetric")
-
-    @staticmethod
-    def _check_matrix(a):
+        a = tuple(map(tuple, self.matrix))
+        if any(type(x) is not int for row in a for x in row):
+            raise TypeError("Cartan matrix entries must be integers")
         n = len(a)
         if any(len(row) != n for row in a):
             raise ValueError("Cartan matrix must be square")
@@ -94,6 +86,21 @@ class CartanData:
                         raise ValueError("off-diagonal Cartan entries must be <= 0")
                     if (a[i][j] == 0) != (a[j][i] == 0):
                         raise ValueError("zero pattern must be symmetric")
+        # the derivation divides only by entries the checks keep non-zero
+        d = _symmetrizers(a) if self.d is None else tuple(self.d)
+        if any(type(x) is not int for x in d):
+            raise TypeError("symmetrizers must be integers")
+        if len(d) != n:
+            raise ValueError(
+                f"need {n} symmetrizers, one per row, got {len(d)}")
+        if any(di <= 0 for di in d):
+            raise ValueError("symmetrizers must be positive")
+        for i in range(n):
+            for j in range(n):
+                if d[i] * a[i][j] != d[j] * a[j][i]:
+                    raise ValueError("d_i a_ij is not symmetric")
+        object.__setattr__(self, "matrix", a)
+        object.__setattr__(self, "d", d)
 
     @property
     def rank(self) -> int:
@@ -107,16 +114,7 @@ class CartanData:
         rank = n - 1
         a = [[2 if i == j else (-1 if abs(i - j) == 1 else 0)
               for j in range(rank)] for i in range(rank)]
-        return cls(tuple(map(tuple, a)), (1,) * rank)
-
-    @classmethod
-    def from_matrix(cls, matrix, d=None) -> "CartanData":
-        matrix = tuple(tuple(int(x) for x in row) for row in matrix)
-        if d is None:
-            # the symmetrizers divide by entries the checks keep non-zero
-            cls._check_matrix(matrix)
-            d = _symmetrizers(matrix)
-        return cls(matrix, tuple(int(x) for x in d))
+        return cls(a, (1,) * rank)
 
 
 def _symmetrizers(a) -> tuple:
@@ -128,29 +126,22 @@ def _symmetrizers(a) -> tuple:
         if d[start] is not None:
             continue
         d[start] = Fraction(1)
-        queue = [start]
         component = [start]
-        while queue:
-            i = queue.pop()
+        for i in component:  # the list grows while it is walked
             for j in range(n):
                 if i != j and a[i][j] != 0:
                     # d_j a_ji = d_i a_ij
-                    ratio = Fraction(a[i][j], a[j][i])
-                    value = d[i] * ratio
+                    value = d[i] * Fraction(a[i][j], a[j][i])
                     if d[j] is None:
                         d[j] = value
-                        queue.append(j)
                         component.append(j)
                     elif d[j] != value:
                         raise ValueError("Cartan matrix is not symmetrizable")
-        denominator = 1
+        # coprime: each prime power of the lcm is the whole denominator of
+        # some d_j, so that d_j comes out without the prime
+        denominator = lcm(*(d[i].denominator for i in component))
         for i in component:
-            denominator = denominator * d[i].denominator // \
-                gcd(denominator, d[i].denominator)
-        values = [int(d[i] * denominator) for i in component]
-        g = gcd(*values)
-        for i, v in zip(component, values):
-            d[i] = v // g
+            d[i] = int(d[i] * denominator)
     return tuple(d)
 
 

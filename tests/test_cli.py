@@ -545,3 +545,57 @@ def test_representation_fixture_with_invalid_cartan_matrix_exits_2(tmp_path,
     assert proc.stdout == ""
     assert "invalid Cartan data" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("rmatrix", [[1, 2], 5, {"builtin": 5}, "sl:2"],
+                         ids=["list", "int", "builtin-int", "string"])
+def test_representation_fixture_with_a_bad_rmatrix_block_exits_2(tmp_path,
+                                                                  rmatrix):
+    fixture = tmp_path / "rep.json"
+    _sl2_fixture_with(fixture, "rmatrix", rmatrix)
+    proc = run_cli(["check", "--rep", str(fixture), "relations"])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert ("representation fixture 'rmatrix' must be an rmatrix object "
+            'or {"builtin": "sl:n"}') in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_wrong_symmetrizer_count_in_a_fixture_exits_2(tmp_path, capsys):
+    rep, space = builtin_sl(3)
+    doc = representation_fixture(rep, space)
+    doc["cartan"]["d"] = [1]
+    fixture = tmp_path / "rep.json"
+    write_fixture(doc, fixture)
+    assert main(["check", "--rep", str(fixture), "relations"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: invalid Cartan data: need 2 symmetrizers, "
+                            "one per row, got 1\n")
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_singular_braid_solution_is_a_mathematical_failure(tmp_path, capsys,
+                                                           dim):
+    # the zero operator satisfies the braid equation but is not invertible
+    fixture = tmp_path / "zero.json"
+    write_fixture({"kind": "rmatrix", "dim": dim, "form": "braiding",
+                   "entries": matrix_entries(SymMatrix.zeros(dim * dim))},
+                  fixture)
+    assert main(["validate-r", "--input", str(fixture)]) == 0
+    assert "braid equation: holds" in capsys.readouterr().out
+    out = tmp_path / "out.json"
+    for argv in (["chi", "--input", str(fixture), "--poly", "x - q"],
+                 ["frt", "--input", str(fixture)]):
+        assert main([*argv, "--json-out", str(out)]) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "invalid braiding: braiding is not invertible\n"
+        assert captured.err == ""
+        doc = json.loads(out.read_text())
+        assert doc["error"] == "braiding is not invertible"
+        assert doc["exit_code"] == 1
+    assert main(["check", "--rep", "sl:2", "--rmatrix", str(fixture),
+                 "relations"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: braiding is not invertible\n"

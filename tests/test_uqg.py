@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import itertools
 import pickle
 import random
 
@@ -39,15 +40,59 @@ def test_invalid_matrix_refused_before_symmetrizers():
     for matrix, message in (([[2, -1], [0, 2]], "zero pattern"),
                             ([[2], [-1, 2]], "must be square")):
         with pytest.raises(ValueError, match=message):
-            CartanData.from_matrix(matrix)
+            CartanData(matrix)
 
 
 def test_symmetrizers_computed():
     assert CartanData.sl(4).d == (1, 1, 1)
-    c2 = CartanData.from_matrix([[2, -1], [-2, 2]])
+    c2 = CartanData([[2, -1], [-2, 2]])
     assert c2.d == (2, 1)
-    a1a1 = CartanData.from_matrix([[2, 0], [0, 2]])
+    a1a1 = CartanData([[2, 0], [0, 2]])
     assert a1a1.d == (1, 1)
+
+
+@pytest.mark.parametrize("d", [[1], [1, 1, 1]])
+def test_symmetrizer_count_must_match_the_rank(d):
+    with pytest.raises(ValueError, match="need 2 symmetrizers, one per row"):
+        CartanData([[2, -1], [-1, 2]], d)
+
+
+@pytest.mark.parametrize("matrix, d", [([[2, -1.5], [-1, 2]], None),
+                                       ([[2.9, -1], [-1, 2]], None),
+                                       ([[2, -1], [-1, 2]], [1.0, 1])])
+def test_cartan_data_refuses_non_integers(matrix, d):
+    with pytest.raises(TypeError):
+        CartanData(matrix, d)
+
+
+def _smallest_symmetrizers(a):
+    """The d in {1..6}^n with d_i a_ij = d_j a_ji of least sum.  The
+    solutions on each connected component of the Dynkin diagram are the
+    multiples of one primitive vector, so this is that vector on every
+    component."""
+    n = len(a)
+    return min((d for d in itertools.product(range(1, 7), repeat=n)
+                if all(d[i] * a[i][j] == d[j] * a[j][i]
+                       for i in range(n) for j in range(n))), key=sum)
+
+
+@pytest.mark.parametrize("matrix", [
+    [[2, -2], [-1, 2]],
+    [[2, -1], [-2, 2]],
+    [[2, -1], [-3, 2]],
+    [[2, -1, 0], [-1, 2, -2], [0, -1, 2]],
+    [[2, -1, 0], [-1, 2, -1], [0, -2, 2]],
+    [[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]],
+    [[2, 0, 0], [0, 2, -2], [0, -1, 2]],
+    [[2, 0], [0, 2]],
+], ids=["B2", "C2", "G2", "B3", "C3", "F4", "A1xB2", "A1xA1"])
+def test_derived_symmetrizers_match_brute_force(matrix):
+    assert CartanData(matrix).d == _smallest_symmetrizers(matrix)
+
+
+def test_non_symmetrizable_cycle_refused():
+    with pytest.raises(ValueError, match="not symmetrizable"):
+        CartanData([[2, -1, -1], [-2, 2, -1], [-1, -1, 2]])
 
 
 def test_presentation_a1_relations():

@@ -15,7 +15,7 @@ import math
 import sys
 
 from .builtin import resolve_builtin
-from .fixtures import (FixtureError, braiding_from_fixture, load_fixture,
+from .fixtures import (braiding_from_fixture, load_fixture,
                        relations_from_fixture, representation_from_fixture,
                        space_from_fixture)
 from .frt import check_duality, frt_coideal_check, frt_hilbert, frt_relations
@@ -32,10 +32,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 
-class CliError(Exception):
-    """Usage/format problem; maps to exit code 2."""
-
-
 def degree(text: str) -> int:
     """The argparse type of --max-degree: a non-negative integer."""
     value = int(text)
@@ -44,43 +40,54 @@ def degree(text: str) -> int:
     return value
 
 
-def _resolve_braiding(args, parser_name: str):
+def _resolve_braiding(args, command: str, doc=None):
     """Returns (label, braiding candidate matrix, braided space or None)
     without requiring the braid equation to hold: a builtin comes with the
-    space it was built and verified as, a fixture with None."""
-    if getattr(args, "builtin", None):
+    space it was built and verified as, a fixture (`doc` if read) with None."""
+    if args.builtin is not None:
         _, space = resolve_builtin(args.builtin)
         return args.builtin, space.braiding, space
-    if getattr(args, "input", None):
-        doc = load_fixture(args.input)
-        if doc.get("kind") != "rmatrix":
-            raise CliError(f"{parser_name} --input expects an rmatrix fixture")
-        return doc.get("name", args.input), braiding_from_fixture(doc), None
-    raise CliError(f"{parser_name} needs --builtin or --input")
+    doc = doc or load_fixture(args.input)
+    if doc.get("kind") != "rmatrix":
+        raise ValueError(f"{command} --input expects an rmatrix fixture")
+    return doc.get("name", args.input), braiding_from_fixture(doc), None
 
 
-def _resolve_rep(spec: str):
-    """Representation plus optional braided space from 'sl:n' or a file."""
+def _resolve_spec(spec: str, flag: str):
+    """(representation, braided space) named by --rep, --pair-with or
+    --rmatrix: a builtin if `spec` starts with 'sl:', else a fixture path (a
+    fixture named sl:... is given as ./sl:...); --rmatrix gives no rep."""
     if spec.startswith("sl:"):
-        rep, space = resolve_builtin(spec)
-        return rep, space
+        return resolve_builtin(spec)
     doc = load_fixture(spec)
+    if flag == "--rmatrix":
+        return None, space_from_fixture(doc)
     if doc.get("kind") != "representation":
-        raise CliError("--rep expects a representation fixture or 'sl:n'")
+        raise ValueError(f"{flag} expects a representation fixture or 'sl:n'")
     return representation_from_fixture(doc)
 
 
 def _emit(args, text_lines: list, payload: dict, exit_code: int) -> int:
+    """Writes --json-out first, so that an unwritable one prints nothing."""
+    payload["exit_code"] = exit_code
+    payload["status"] = "pass" if exit_code == EXIT_OK else "fail"
+    if args.json_out:
+        try:
+            with open(args.json_out, "w", encoding="utf-8") as fh:
+                json.dump(payload, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        except OSError as exc:
+            raise ValueError(f"cannot write --json-out: {exc}") from exc
     out = "\n".join(text_lines)
     if out:
         print(out)
-    payload["exit_code"] = exit_code
-    payload["status"] = "pass" if exit_code == EXIT_OK else "fail"
-    if getattr(args, "json_out", None):
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
     return exit_code
+
+
+def _invalid_braiding(args, payload: dict, exc: BraidEquationError) -> int:
+    payload["error"] = str(exc)
+    return _emit(args, [f"invalid braiding: {exc}"], payload,
+                 EXIT_CHECK_FAILED)
 
 
 def cmd_validate_r(args) -> int:
@@ -113,13 +120,10 @@ def cmd_validate_r(args) -> int:
 def cmd_chi(args) -> int:
     lines = []
     payload = {"command": "chi", "max_degree": args.max_degree}
-    if args.input:
-        doc = load_fixture(args.input)
-    else:
-        doc = None
+    doc = load_fixture(args.input) if args.input is not None else None
     if doc is not None and doc.get("kind") == "relations":
         if args.poly:
-            raise CliError("--poly does not apply to a relations fixture")
+            raise ValueError("--poly does not apply to a relations fixture")
         rels = relations_from_fixture(doc)
         label = doc.get("name", args.input)
         payload["source"] = str(label)
@@ -127,18 +131,16 @@ def cmd_chi(args) -> int:
                      f"({rels.alphabet} generators, {len(rels)} relations)")
     else:
         if not args.poly:
-            raise CliError("chi needs --poly when given a braiding")
-        label, braiding, space = _resolve_braiding(args, "chi")
+            raise ValueError("chi needs --poly when given a braiding")
+        label, braiding, space = _resolve_braiding(args, "chi", doc)
         try:
             space = space or BraidedSpace.from_braiding(braiding)
         except BraidEquationError as exc:
-            lines.append(f"invalid braiding: {exc}")
-            payload["error"] = str(exc)
-            return _emit(args, lines, payload, EXIT_CHECK_FAILED)
+            return _invalid_braiding(args, payload, exc)
         try:
             f = parse_poly(args.poly)
         except ScalarParseError as exc:
-            raise CliError(f"bad --poly: {exc}") from exc
+            raise ValueError(f"bad --poly: {exc}") from exc
         rels = ncalg.relations_from_image(space, f)
         n = space.dim
         payload["source"] = str(label)
@@ -180,21 +182,18 @@ def cmd_chi(args) -> int:
 
 
 def cmd_check(args) -> int:
-    rep, space = _resolve_rep(args.rep)
+    rep, space = _resolve_spec(args.rep, "--rep")
     if args.rmatrix:
-        if args.rmatrix.startswith("sl:"):
-            _, space = resolve_builtin(args.rmatrix)
-        else:
-            space = space_from_fixture(load_fixture(args.rmatrix))
+        _, space = _resolve_spec(args.rmatrix, "--rmatrix")
     reports: list[Report] = []
     needs_space = {"admissible", "ideal", "measuring"}
     if needs_space & set(args.subchecks) and space is None:
-        raise CliError("this subcheck needs a braided space: pass --rmatrix "
-                       "or use a fixture with an embedded rmatrix")
+        raise ValueError("this subcheck needs a braided space: pass "
+                         "--rmatrix or use a fixture with an embedded rmatrix")
     try:
         f = parse_poly(args.poly)
     except ScalarParseError as exc:
-        raise CliError(f"bad --poly: {exc}") from exc
+        raise ValueError(f"bad --poly: {exc}") from exc
     if {"ideal", "measuring"} & set(args.subchecks):
         rels = ncalg.relations_from_image(space, f)
     for sub in args.subchecks:
@@ -224,14 +223,12 @@ def cmd_frt(args) -> int:
     try:
         space = space or BraidedSpace.from_braiding(braiding)
     except BraidEquationError as exc:
-        payload = {"command": "frt", "error": str(exc)}
-        return _emit(args, [f"invalid braiding: {exc}"], payload,
-                     EXIT_CHECK_FAILED)
+        return _invalid_braiding(args, {"command": "frt"}, exc)
     # the duality check runs first, so that a --pair-with it refuses stops
     # the command before any other work; its report is printed last
     duality = None
     if args.pair_with:
-        rep, _ = _resolve_rep(args.pair_with)
+        rep, _ = _resolve_spec(args.pair_with, "--pair-with")
         duality = check_duality(rep, space, max_degree=args.max_degree)
     pres = frt_relations(space)
     lines = [f"space: {label} (dim {space.dim})",
@@ -326,7 +323,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except (CliError, FixtureError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return (EXIT_CHECK_FAILED if isinstance(exc, BraidEquationError)
                 else EXIT_USAGE)

@@ -320,7 +320,10 @@ def test_duality_at_degree_0_exits_2():
     ("sl:3", [], "representation dimension must equal n"),
     ("sl:2", ["--max-degree", "0"],
      "duality check needs max_degree >= 1, got 0"),
-], ids=["missing-fixture", "no-builtin", "other-dimension", "degree-0"])
+    ("relations.json", [],
+     "--pair-with expects a representation fixture or 'sl:n'"),
+], ids=["missing-fixture", "no-builtin", "other-dimension", "degree-0",
+        "relations-fixture"])
 def test_frt_refuses_a_bad_pair_with_before_any_work(
         pair_with, extra, message, tmp_path, monkeypatch, capsys):
     import braidalg.cli
@@ -331,6 +334,9 @@ def test_frt_refuses_a_bad_pair_with_before_any_work(
                          (braidalg.frt, "frt_relations")):
         monkeypatch.setattr(module, name,
                             lambda *args, name=name: calls.append(name))
+    write_fixture({"kind": "relations", "alphabet": 1,
+                   "relations": [[{"coeff": "1", "word": [1, 1]}]]},
+                  tmp_path / "relations.json")
     if pair_with.endswith(".json"):
         pair_with = str(tmp_path / pair_with)
     code = main(["frt", "--builtin", "sl:2", "--pair-with", pair_with,
@@ -599,3 +605,59 @@ def test_singular_braid_solution_is_a_mathematical_failure(tmp_path, capsys,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: braiding is not invertible\n"
+
+
+def _spy_on_load_fixture(monkeypatch):
+    import braidalg.cli
+    reads = []
+    load = braidalg.cli.load_fixture
+    monkeypatch.setattr(braidalg.cli, "load_fixture",
+                        lambda path: reads.append(path) or load(path))
+    return reads
+
+
+def test_chi_reads_its_input_fixture_once(tmp_path, monkeypatch, capsys):
+    _, space = builtin_sl(2)
+    fixture = tmp_path / "r.json"
+    write_fixture({"kind": "rmatrix", "dim": 2, "form": "braiding",
+                   "entries": matrix_entries(space.braiding)}, fixture)
+    reads = _spy_on_load_fixture(monkeypatch)
+    assert main(["chi", "--input", str(fixture), "--poly", "x - q"]) == 0
+    assert f"space: {fixture} (dim 2)" in capsys.readouterr().out
+    assert reads == [str(fixture)]
+
+
+def test_a_fixture_path_starting_with_sl_is_given_as_dot_slash(
+        tmp_path, monkeypatch, capsys):
+    # any spec that starts with 'sl:' names a builtin; './' makes it a path
+    rep, space = builtin_sl(2)
+    write_fixture(representation_fixture(rep), tmp_path / "sl:2-rep.json")
+    write_fixture({"kind": "rmatrix", "dim": 2, "form": "braiding",
+                   "entries": matrix_entries(space.braiding)},
+                  tmp_path / "sl:2-r.json")
+    monkeypatch.chdir(tmp_path)
+    reads = _spy_on_load_fixture(monkeypatch)
+    assert main(["check", "--rep", "./sl:2-rep.json",
+                 "--rmatrix", "./sl:2-r.json", "admissible"]) == 0
+    assert main(["frt", "--builtin", "sl:2", "--max-degree", "1",
+                 "--pair-with", "./sl:2-rep.json"]) == 0
+    capsys.readouterr()
+    assert reads == ["./sl:2-rep.json", "./sl:2-r.json", "./sl:2-rep.json"]
+    assert main(["check", "--rep", "sl:2-rep.json", "relations"]) == 2
+    assert capsys.readouterr().err == \
+        "error: unknown builtin 'sl:2-rep.json' (expected 'sl:n')\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate-r", "--builtin", "sl:2"],
+    ["chi", "--builtin", "sl:2", "--poly", "x - q"],
+    ["check", "--rep", "sl:2", "relations"],
+    ["frt", "--builtin", "sl:2", "--max-degree", "1"],
+], ids=["validate-r", "chi", "check", "frt"])
+def test_unwritable_json_out_exits_2(argv, tmp_path, capsys):
+    out = tmp_path / "missing" / "out.json"
+    assert main([*argv, "--json-out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: cannot write --json-out: [Errno 2] No "
+                            f"such file or directory: '{out}'\n")

@@ -27,6 +27,14 @@ def test_n1_space_has_no_relations():
     assert frt_hilbert(pres, 4) == [1, 1, 1, 1, 1]
 
 
+def test_t_names_from_n_10_on_are_bracketed():
+    names = t_names(10)
+    assert names[:2] == ["t[1,1]", "t[1,2]"] and names[-1] == "t[10,10]"
+    assert len(set(names)) == 100
+    assert not any(ch.isspace() for name in names for ch in name)
+    assert RelationSet(100, [], names=names).names == names
+
+
 def test_sl2_relation_count_and_content(sl2):
     _, space = sl2
     pres = frt_relations(space)

@@ -18,7 +18,8 @@ from .builtin import resolve_builtin
 from .fixtures import (braiding_from_fixture, load_fixture,
                        relations_from_fixture, representation_from_fixture,
                        space_from_fixture)
-from .frt import check_duality, frt_coideal_check, frt_hilbert, frt_relations
+from .frt import (check_duality, frt_coideal_check, frt_hilbert,
+                  frt_relations, refuse_duality)
 from .linalg import BraidedSpace, BraidEquationError, check_braid, minimal_poly
 from .ncalg import complete_rewrite, hilbert
 from .report import Report
@@ -224,13 +225,13 @@ def cmd_frt(args) -> int:
         space = space or BraidedSpace.from_braiding(braiding)
     except BraidEquationError as exc:
         return _invalid_braiding(args, {"command": "frt"}, exc)
-    # the duality check runs first, so that a --pair-with it refuses stops
-    # the command before any other work; its report is printed last
-    duality = None
+    # a bad --pair-with is refused before any other work
     if args.pair_with:
         rep, _ = _resolve_spec(args.pair_with, "--pair-with")
-        duality = check_duality(rep, space, max_degree=args.max_degree)
+        refuse_duality(rep, space.dim, args.max_degree)
     pres = frt_relations(space)
+    duality = check_duality(rep, space, max_degree=args.max_degree,
+                            pres=pres) if args.pair_with else None
     lines = [f"space: {label} (dim {space.dim})",
              f"relations: {pres.rank} independent "
              f"(degree-2 dimension {space.dim ** 4 - pres.rank})",

@@ -116,8 +116,6 @@ class PairingTable:
     """
 
     def __init__(self, rep: Representation, n: int):
-        if rep.dim != n:
-            raise ValueError("representation dimension must equal n")
         self.rep = rep
         self.n = n
         self._columns: dict = {}
@@ -206,9 +204,22 @@ def _nonzero_pairings(word_operators, positions):
                 yield u, idx, value
 
 
+def refuse_duality(rep: Representation, n: int, max_degree: int = 3,
+                   samples: int = 200):
+    """Refuse a duality check that would cover nothing (a degree bound or
+    sample count below 1) or pairs a representation of another dimension."""
+    if max_degree < 1:
+        raise ValueError(f"duality check needs max_degree >= 1, got {max_degree}")
+    if samples < 1:
+        raise ValueError(f"duality check needs samples >= 1, got {samples}")
+    if rep.dim != n:
+        raise ValueError("representation dimension must equal n")
+
+
 def check_duality(rep: Representation, space: BraidedSpace,
                   max_degree: int = 3, samples: int = 200,
-                  seed: int = 0) -> Report:
+                  seed: int = 0, *,
+                  pres: FRTPresentation | None = None) -> Report:
     """Annihilation <u, r> = 0 for every generator word u up to the degree
     bound and every relation, plus product/coproduct compatibility of the
     pairing on seeded samples.  The multiplication-order orientation that
@@ -220,9 +231,9 @@ def check_duality(rep: Representation, space: BraidedSpace,
     of the X_g and the commutant is an algebra holding 1, every word does
     exactly when every generator action on V (x) V does.  Only if one
     does not are all words enumerated, to count the failures, with the
-    operators of `_word_operators`, paired by `_nonzero_pairings`.  A
-    degree bound or sample count below 1, or an empty relation set, is
-    refused: the check would then cover nothing.
+    operators of `_word_operators`, paired by `_nonzero_pairings`.  After
+    `refuse_duality`, an empty relation set is refused.  `pres`, when
+    given, must be `frt_relations(space)`, built by the caller.
 
     The samples are drawn from `Random(seed).getrandbits` by `_draw_below`,
     a word's length before its letters.  A t-word of length k pairs with
@@ -234,14 +245,11 @@ def check_duality(rep: Representation, space: BraidedSpace,
     over one column of X_v (`multiplicative`), with no expansion of the
     coproduct of a, and `<u, ab>` over the coproduct of u, expanded once
     per distinct u of the check."""
-    if max_degree < 1:
-        raise ValueError(f"duality check needs max_degree >= 1, got {max_degree}")
-    if samples < 1:
-        raise ValueError(f"duality check needs samples >= 1, got {samples}")
     n = space.dim
-    # refuses a representation of another dimension before any work
+    refuse_duality(rep, n, max_degree, samples)
     table = PairingTable(rep, n)
-    pres = frt_relations(space)
+    if pres is None:
+        pres = frt_relations(space)
     if not pres.relations.relations:
         raise ValueError("empty relation set: the annihilation check would "
                          "pass without checking anything")

@@ -195,21 +195,23 @@ def vec_add_scaled(target: dict, src: dict, c: Scalar):
     """target += c * src in place, dropping the entries that cancel; a unit
     `c` is not multiplied, and a first write is stored without an addition,
     so a plain copy costs no arithmetic."""
+    get = target.get
     for i, v in src.items():
         nv = v if c is ONE else c * v
-        old = target.get(i)
+        old = get(i)
         if old is not None:
             nv = old + nv
-        if nv.is_zero():
-            target.pop(i, None)
-        else:
+        if not nv.is_zero():
             target[i] = nv
+        elif old is not None:
+            del target[i]
 
 
 def vec_kron(a: dict, b: dict, dim: int) -> dict:
     """The Kronecker product of sparse vectors, with the index flattening of
     `kron`; `dim` is the dimension of b's space."""
-    return {x * dim + y: cx * cy for x, cx in a.items() for y, cy in b.items()}
+    return {x * dim + y: cy if cx is ONE else cx * cy
+            for x, cx in a.items() for y, cy in b.items()}
 
 
 class Echelon:
@@ -447,7 +449,7 @@ class BraidedSpace:
         check = check_braid(self.braiding)
         if not check.holds:
             raise BraidEquationError(check.describe())
-        if invert(self.braiding) is None:
+        if nullspace(self.braiding.columns, self.braiding.rows):
             raise BraidEquationError("braiding is not invertible")
 
     @classmethod

@@ -235,10 +235,11 @@ class RewriteSystem:
         cached = self._nf_cache.get(word)
         if cached is not None:
             return cached
-        # rewrite the leftmost factor that is a leading word
-        for pos, ell in product(range(len(word)), self._lengths):
-            lhs = word[pos:pos + ell]
-            if lhs in self.rules:
+        # rewrite the leftmost factor that is a leading word; a window that
+        # runs past the end is skipped, as its shorter slice was tried first
+        n = len(word)
+        for pos, ell in product(range(n), self._lengths):
+            if pos + ell <= n and (lhs := word[pos:pos + ell]) in self.rules:
                 acc: dict = {}
                 for w, c in self.rules[lhs].coeffs.items():
                     vec_add_scaled(acc, self.normal_form_word(

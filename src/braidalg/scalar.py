@@ -28,6 +28,7 @@ from math import gcd as _int_gcd
 from numbers import Integral, Rational
 
 _ONE_COEFFS = {0: 1}  # the coefficients of 1, never mutated
+_new = object.__new__  # an instance without a constructor call
 
 
 class ScalarParseError(ValueError):
@@ -79,10 +80,6 @@ class LaurentPoly:
                 if v:
                     c[e] = v
         self.coeffs = c
-
-    @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls()
 
     @classmethod
     def one(cls) -> "LaurentPoly":
@@ -207,7 +204,11 @@ def _primitive(coeffs: dict, shift: int):
     for v in coeffs.values():
         if type(v) is not int:
             den = den * v.denominator // _int_gcd(den, v.denominator)
-    p = [0] * (max(coeffs) - shift + 1)
+    try:
+        p = [0] * (max(coeffs) - shift + 1)
+    except (OverflowError, MemoryError):
+        raise ValueError(f"exponent span {max(coeffs) - shift} of a "
+                         f"polynomial in q is too large") from None
     for e, v in coeffs.items():
         p[e - shift] = v if den == 1 else v.numerator * (den // v.denominator)
     prim = _primitive_part(p)
@@ -343,10 +344,10 @@ class Scalar:
         return cls._raw(LaurentPoly({k: 1}), LaurentPoly.one())
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return not self.num.coeffs
 
     def is_one(self) -> bool:
-        return self.num.is_one() and self.den.is_one()
+        return self.num.coeffs == _ONE_COEFFS == self.den.coeffs
 
     def as_monomial(self):
         """Return (exponent, coefficient) if the scalar is c*q**e, else None."""
@@ -358,11 +359,17 @@ class Scalar:
     def __add__(self, other) -> "Scalar":
         if type(other) is not Scalar and (other := _coerce(other)) is NotImplemented:
             return NotImplemented
-        if self.den.is_one() and other.den.is_one():
-            return Scalar._raw(self.num + other.num, self.den)
-        if self.den == other.den:
-            return Scalar(self.num + other.num, self.den)
-        return Scalar(self.num * other.den + other.num * self.den, self.den * other.den)
+        sd, od = self.den, other.den
+        if sd.coeffs == od.coeffs:
+            num = self.num + other.num
+            if not num.coeffs:
+                return ZERO
+            if sd.coeffs != _ONE_COEFFS:
+                return Scalar(num, sd)
+            out = _new(Scalar)
+            out.num, out.den = num, sd
+            return out
+        return Scalar(self.num * od + other.num * sd, sd * od)
 
     __radd__ = __add__
 
@@ -375,7 +382,9 @@ class Scalar:
         return _coerce(other) - self
 
     def __neg__(self) -> "Scalar":
-        return Scalar._raw(-self.num, self.den)
+        out = _new(Scalar)
+        out.num, out.den = -self.num, self.den
+        return out
 
     def __mul__(self, other) -> "Scalar":
         if other is ONE:
@@ -384,15 +393,19 @@ class Scalar:
             return NotImplemented
         if self is ONE:
             return other
-        if self.num.is_zero() or other.num.is_zero():
+        a, b = self.num.coeffs, other.num.coeffs
+        if not a or not b:
             return ZERO
-        if self.den.is_one() and other.den.is_one():
-            if other.num.is_one():
+        sd, od = self.den, other.den
+        if sd.coeffs == _ONE_COEFFS and od.coeffs == _ONE_COEFFS:
+            if b == _ONE_COEFFS:
                 return self
-            if self.num.is_one():
+            if a == _ONE_COEFFS:
                 return other
-            return Scalar._raw(self.num * other.num, self.den)
-        return Scalar(self.num * other.num, self.den * other.den)
+            out = _new(Scalar)
+            out.num, out.den = self.num * other.num, sd
+            return out
+        return Scalar(self.num * other.num, sd * od)
 
     __rmul__ = __mul__
 
@@ -405,6 +418,12 @@ class Scalar:
         return _coerce(other) / self
 
     def inverse(self) -> "Scalar":
+        # a unit monomial +-q^k has the inverse +-q^-k, already canonical
+        m = self.as_monomial()
+        if m is not None and m[1] in (1, -1):
+            num = _new(LaurentPoly)
+            num.coeffs = {-m[0]: m[1]}
+            return Scalar._raw(num, self.den)
         return Scalar(self.den, self.num)
 
     def __pow__(self, k: int) -> "Scalar":
@@ -428,11 +447,10 @@ class Scalar:
         return self.num.evaluate(q0) / d
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = _coerce(other)
-        if not isinstance(other, Scalar):
+        if type(other) is not Scalar and (other := _coerce(other)) is NotImplemented:
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return (self.num.coeffs == other.num.coeffs
+                and self.den.coeffs == other.den.coeffs)
 
     def __hash__(self) -> int:
         return hash((self.num, self.den))
@@ -449,7 +467,7 @@ class Scalar:
         return f"Scalar({self})"
 
 
-ZERO = Scalar._raw(LaurentPoly.zero(), LaurentPoly.one())
+ZERO = Scalar._raw(LaurentPoly(), LaurentPoly.one())
 ONE = Scalar._raw(LaurentPoly.one(), LaurentPoly.one())
 Q = Scalar.q_power(1)
 

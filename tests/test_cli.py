@@ -661,3 +661,51 @@ def test_unwritable_json_out_exits_2(argv, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == ("error: cannot write --json-out: [Errno 2] No "
                             f"such file or directory: '{out}'\n")
+
+
+def test_frt_pair_with_builds_the_relations_once(monkeypatch, capsys):
+    import braidalg.cli
+    import braidalg.frt
+    calls = []
+    real = braidalg.frt.frt_relations
+
+    def spy(space):
+        calls.append(space)
+        return real(space)
+
+    monkeypatch.setattr(braidalg.cli, "frt_relations", spy)
+    monkeypatch.setattr(braidalg.frt, "frt_relations", spy)
+    assert main(["frt", "--builtin", "sl:3", "--max-degree", "2",
+                 "--pair-with", "sl:3"]) == 0
+    assert "finite-degree duality for" in capsys.readouterr().out
+    assert len(calls) == 1
+
+
+# 10**21 overflows the index range of a list; 10**17 is inside it, but its
+# dense list needs more bytes than any 64-bit address space holds, so the
+# allocation fails whatever the host's overcommit policy
+@pytest.mark.parametrize("command, exponent", [
+    pytest.param("chi", 10 ** 21, id="chi"),
+    pytest.param("check", 10 ** 30, id="check"),
+    pytest.param("chi", 10 ** 17, id="chi-memory"),
+    pytest.param("check", 10 ** 17, id="check-memory")])
+def test_huge_exponent_span_exits_2(command, exponent, tmp_path, capsys):
+    """A q-power whose exponent span the dense coefficient list cannot hold
+    is refused with one error line, whether it comes from a parsed
+    polynomial or from a fixture's symmetrizer."""
+    if command == "chi":
+        argv = ["chi", "--builtin", "sl:2", "--poly", f"x - q^{exponent}"]
+        span = exponent - 1
+    else:
+        rep, space = builtin_sl(2)
+        doc = representation_fixture(rep, space)
+        doc["cartan"]["d"] = [exponent]
+        fixture = tmp_path / "rep.json"
+        write_fixture(doc, fixture)
+        argv = ["check", "--rep", str(fixture), "relations"]
+        span = 2 * exponent
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: exponent span {span} of a polynomial "
+                            f"in q is too large\n")

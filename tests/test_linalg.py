@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 from braidalg.linalg import (BraidedSpace, BraidEquationError, SymMatrix,
@@ -11,7 +11,8 @@ from braidalg.linalg import (BraidedSpace, BraidEquationError, SymMatrix,
                              eval_poly_at_matrix,
                              extend_braiding, flip_matrix, image_subspace,
                              invert, kron, minimal_poly, solve_commutant)
-from braidalg.linalg import Echelon, linear_solve, vec_add_scaled
+from braidalg.linalg import (Echelon, linear_solve, vec_add_scaled,
+                             vec_kron)
 from braidalg.scalar import (LaurentPoly, ONE, Q, ZERO, Scalar, parse_poly,
                              parse_scalar)
 from braidalg.builtin import sl_rtt_matrix
@@ -447,3 +448,50 @@ def test_spanned_by_is_the_reduced_echelon_form_of_sympy(name,
                                (len(vectors), size), _K).rref()
     assert pivots == tuple(sorted(rels.span.pivot_rows))
     assert ref.to_list()[:len(pivots)] == [dense(v) for v in rels.span.basis()]
+
+
+# --- the sparse-vector kernel against plain dict arithmetic -----------------
+
+@settings(max_examples=100, deadline=None)
+@given(target=_vectors, src=_vectors, c=_pool)
+@example(target={0: Q, 2: ONE}, src={0: Q, 1: Q}, c=-ONE)
+@example(target={1: Q}, src={1: Q, 3: -Q}, c=ZERO)
+@example(target={}, src={4: Q ** -1}, c=ONE)
+def test_vec_add_scaled_matches_a_dict_reference(target, src, c):
+    expected = {}
+    for i in set(target) | set(src):
+        v = target.get(i, ZERO) + c * src.get(i, ZERO)
+        if not v.is_zero():
+            expected[i] = v
+    got = dict(target)
+    vec_add_scaled(got, src, c)
+    assert got == expected
+    assert not any(v.is_zero() for v in got.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=_vectors, b=_vectors)
+@example(a={0: ONE, 3: ONE}, b={0: Q, 5: -Q})
+def test_vec_kron_matches_a_dict_reference(a, b):
+    expected = {}
+    for x in range(6):
+        for y in range(6):
+            v = a.get(x, ZERO) * b.get(y, ZERO)
+            if not v.is_zero():
+                expected[x * 6 + y] = v
+    assert vec_kron(a, b, 6) == expected
+
+
+def test_vec_kron_copies_a_unit_entry_without_a_product(monkeypatch):
+    calls = []
+    monkeypatch.setattr(Scalar, "__mul__",
+                        lambda *args: calls.append(args))
+    assert vec_kron({0: ONE}, {0: Q, 1: -Q}, 2) == {0: Q, 1: -Q}
+    assert calls == []
+
+
+def test_braided_space_builds_no_inverse(sl3, monkeypatch):
+    import braidalg.linalg
+    monkeypatch.setattr(braidalg.linalg, "invert", None)
+    _, space = sl3
+    assert BraidedSpace(space.rtt).braiding == space.braiding

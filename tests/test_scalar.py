@@ -381,3 +381,59 @@ def test_canonical_matches_euclid_reference_and_sympy(a, b, f):
     assert _stored_canonically(got), (num.coeffs, den.coeffs)
     expected = _sympy_laurent(a) / _sympy_laurent(b)
     assert sympy.cancel(_to_sympy(got) - expected) == 0, (a, b, f)
+
+
+# --- the fast paths of the operators against the canonicalizing route ------
+
+def _structure(x: Scalar):
+    """The canonical form of x down to the type of each coefficient."""
+    return tuple({e: (type(v), v) for e, v in p.coeffs.items()}
+                 for p in (x.num, x.den))
+
+
+def _route(num: LaurentPoly, den: LaurentPoly):
+    return _structure(Scalar(num, den))
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=_random_scalars, b=_random_scalars)
+@example(a=Q ** 3, b=-Q ** -2)
+@example(a=-Q, b=Scalar.from_int(2) * Q ** 2)
+@example(a=Q ** 2 / 3, b=ZERO)
+@example(a=ONE, b=parse_scalar("(q + 1)/(2*q^2 + 3)"))
+@example(a=parse_scalar("1/(q - 1)"), b=parse_scalar("-1/(q - 1)"))
+@example(a=parse_scalar("q/(q + 2)"), b=Q ** -1)
+def test_operators_match_the_canonical_route(a, b):
+    """Every operator result is structurally the one that `Scalar(num,
+    den)` gives for its unreduced num/den, whichever fast path it took."""
+    assert _structure(a * b) == _route(a.num * b.num, a.den * b.den)
+    assert _structure(a + b) == _route(a.num * b.den + b.num * a.den,
+                                       a.den * b.den)
+    assert _structure(-a) == _route(-a.num, a.den)
+    assert (a == b) == (_route(a.num, a.den) == _route(b.num, b.den))
+    assert a == Scalar(a.num, a.den)
+    for x, y in ((a, b), (b, a)):
+        if not x.is_zero():
+            assert _structure(x.inverse()) == _route(x.den, x.num)
+            assert _structure(y / x) == _route(y.num * x.den, y.den * x.num)
+
+
+def test_unit_monomial_inverse_takes_no_gcd(monkeypatch):
+    import braidalg.scalar
+    x = -Q ** 3
+    calls = []
+    monkeypatch.setattr(braidalg.scalar, "_canonical",
+                        lambda *args: calls.append(args))
+    inv = x.inverse()
+    assert calls == []
+    assert _structure(inv) == ({-3: (int, -1)}, {0: (int, 1)})
+
+
+@pytest.mark.parametrize("exponent", [10 ** 21, 10 ** 17])
+def test_a_huge_exponent_span_is_a_value_error(exponent):
+    """A span past the index range of a list (10**21), or one whose dense
+    list no 64-bit address space holds (10**17), is refused as a ValueError,
+    not an OverflowError or MemoryError from the dense coefficient list."""
+    x = Q - Q ** exponent
+    with pytest.raises(ValueError, match=f"exponent span {exponent - 1} "):
+        x.inverse()

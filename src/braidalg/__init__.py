@@ -4,8 +4,8 @@ exterior quotients, quantized enveloping algebra actions, the quadratic
 t-bialgebra of an exchange matrix, and the finite-degree dual pairing
 between the two."""
 
-from .scalar import (LaurentPoly, Scalar, ScalarParseError, ONE, Q, ZERO,
-                     parse_poly, parse_scalar, q_binomial, q_integer)
+from .scalar import (Scalar, ScalarParseError, ONE, Q, ZERO, parse_poly,
+                     parse_scalar, q_binomial, q_integer)
 from .linalg import (BraidCheck, BraidedSpace, BraidEquationError,
                      SymMatrix, check_braid, extend_braiding, flip_matrix,
                      image_subspace, invert, kron, minimal_poly,
@@ -26,7 +26,7 @@ from .builtin import (adjoint_sl2, builtin_sl, classical_space,
 from .report import CheckItem, Report
 
 __all__ = [
-    "LaurentPoly", "Scalar", "ScalarParseError", "ONE", "Q", "ZERO",
+    "Scalar", "ScalarParseError", "ONE", "Q", "ZERO",
     "parse_poly", "parse_scalar", "q_binomial", "q_integer",
     "BraidCheck", "BraidedSpace", "BraidEquationError", "SymMatrix",
     "check_braid", "extend_braiding", "flip_matrix", "image_subspace",

@@ -243,8 +243,10 @@ class Echelon:
         if not res:
             return False
         pivot = self.choose_pivot(res)
-        inv = res[pivot].inverse()
-        res = {i: v * inv for i, v in res.items()}
+        lead = res[pivot]
+        if not lead.is_one():
+            inv = lead.inverse()
+            res = {i: v * inv for i, v in res.items()}
         for row in self.pivot_rows.values():
             if pivot in row:
                 vec_add_scaled(row, res, -row[pivot])

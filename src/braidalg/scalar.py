@@ -1,21 +1,24 @@
-"""Exact arithmetic in Q(q): Laurent polynomials in the deformation
-parameter q with rational coefficients, canonical rational functions built
-from them, and the balanced q-integers / q-binomials that appear in quantum
-Serre relations.
+"""Exact arithmetic in Q(q): canonical rational functions in the
+deformation parameter q with rational coefficients, and the balanced
+q-integers / q-binomials that appear in quantum Serre relations.
 
-Nearly all of this arithmetic stays in Z[q, q^-1], so a coefficient is
-stored as a Python `int` when it is integral and as a `Fraction` (with
+A `Scalar` holds its numerator and denominator as two plain maps
+{exponent: coefficient}, Laurent polynomials in q with no zero
+coefficient; the zero polynomial is the empty map.  The polynomial sum,
+product, negation, printing and evaluation are module functions over these
+maps.  Nearly all of this arithmetic stays in Z[q, q^-1], so a coefficient
+is stored as a Python `int` when it is integral and as a `Fraction` (with
 denominator greater than 1) only when it is not.  `Fraction(3) == 3` and
 both hash alike, so equality, hashing and printing do not depend on the
 split; the one division that can meet two ints builds a `Fraction`
-explicitly, and `LaurentPoly` refuses a float, so no float ever enters
-Q(q).
+explicitly, and `Scalar(num, den)` refuses a float, so no float ever
+enters Q(q).
 
-All values are immutable and all operations are pure, so they are safe to
-share between threads.  Equality of scalars is structural equality of
-canonical forms: fractions are reduced, the denominator is an ordinary
-polynomial in q with coprime integer coefficients and positive leading
-coefficient.
+All values are immutable (no map of a `Scalar` is mutated after it is
+built) and all operations are pure, so they are safe to share between
+threads.  Equality of scalars is structural equality of canonical forms:
+fractions are reduced, the denominator is an ordinary polynomial in q with
+coprime integer coefficients and positive leading coefficient.
 
 Reduction to canonical form works over Z: content times primitive part, a
 primitive pseudo-remainder gcd and exact division (see `_canonical`).
@@ -44,119 +47,77 @@ class ScalarZeroDivision(ScalarParseError, ZeroDivisionError):
     ZeroDivisionError for callers that catch arithmetic errors."""
 
 
-class LaurentPoly:
-    """A Laurent polynomial in q, stored as a map {exponent: coefficient}.
+# --- Laurent polynomials as maps {exponent: coefficient} ---------------------
 
-    Zero coefficients are never stored; the zero polynomial is the empty map.
-    An integral coefficient is stored as an `int`, any other as a `Fraction`.
-    An exponent that is not an integer, or a coefficient that is not a
-    rational number (a float, say), raises `TypeError`: neither is rounded.
-    Instances are treated as immutable after construction.
 
-    >>> str(LaurentPoly({1: 1, -1: -1}))
-    'q - q^-1'
-    >>> LaurentPoly({0: Fraction(4, 2)}).coeffs
-    {0: 2}
-    """
+def _laurent(coeffs) -> dict:
+    """A new map of the Laurent polynomial given by the mapping `coeffs`,
+    zero coefficients dropped and integral ones stored as `int`.  An
+    exponent that is not an integer, or a coefficient that is not a
+    rational number (a float, say), raises `TypeError`: neither is
+    rounded."""
+    c = {}
+    if coeffs:
+        for e, v in coeffs.items():
+            if type(e) is not int:
+                if not isinstance(e, Integral):
+                    raise TypeError(f"exponent {e!r} of q is not an integer")
+                e = int(e)
+            if type(v) is not int:
+                if not isinstance(v, Rational):
+                    raise TypeError(f"coefficient {v!r} is not a rational "
+                                    f"number")
+                v = Fraction(v)
+                if v.denominator == 1:
+                    v = v.numerator
+            if v:
+                c[e] = v
+    return c
 
-    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs=None):
-        c = {}
-        if coeffs:
-            for e, v in coeffs.items():
-                if type(e) is not int:
-                    if not isinstance(e, Integral):
-                        raise TypeError(f"exponent {e!r} of q is not an "
-                                        f"integer")
-                    e = int(e)
-                if type(v) is not int:
-                    if not isinstance(v, Rational):
-                        raise TypeError(f"coefficient {v!r} is not a "
-                                        f"rational number")
-                    v = Fraction(v)
-                    if v.denominator == 1:
-                        v = v.numerator
-                if v:
-                    c[e] = v
-        self.coeffs = c
+def _poly_add(a: dict, b: dict) -> dict:
+    c = dict(a)
+    for e, v in b.items():
+        nv = c.get(e, 0) + v
+        if nv:
+            c[e] = nv if type(nv) is int or nv.denominator > 1 \
+                else nv.numerator
+        else:
+            del c[e]
+    return c
 
-    @classmethod
-    def one(cls) -> "LaurentPoly":
-        return cls({0: 1})
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
+def _poly_neg(a: dict) -> dict:
+    return {e: -v for e, v in a.items()}
 
-    def is_one(self) -> bool:
-        return self.coeffs == _ONE_COEFFS
 
-    def degree(self) -> int:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no degree")
-        return max(self.coeffs)
-
-    def valuation(self) -> int:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no valuation")
-        return min(self.coeffs)
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        c = dict(self.coeffs)
-        for e, v in other.coeffs.items():
-            nv = c.get(e, 0) + v
+def _poly_mul(a: dict, b: dict) -> dict:
+    if not a or not b:
+        return {}
+    if len(a) > len(b):
+        a, b = b, a
+    c: dict = {}
+    for ea, va in a.items():
+        for eb, vb in b.items():
+            e = ea + eb
+            nv = c.get(e, 0) + va * vb
             if nv:
                 c[e] = nv if type(nv) is int or nv.denominator > 1 \
                     else nv.numerator
             else:
                 c.pop(e, None)
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.coeffs = c
-        return out
+    return c
 
-    def __neg__(self) -> "LaurentPoly":
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.coeffs = {e: -v for e, v in self.coeffs.items()}
-        return out
 
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return LaurentPoly()
-        if len(a) > len(b):
-            a, b = b, a
-        c: dict = {}
-        for ea, va in a.items():
-            for eb, vb in b.items():
-                e = ea + eb
-                nv = c.get(e, 0) + va * vb
-                if nv:
-                    c[e] = nv if type(nv) is int or nv.denominator > 1 \
-                        else nv.numerator
-                else:
-                    c.pop(e, None)
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.coeffs = c
-        return out
+def _poly_eval(a: dict, q0: Fraction) -> Fraction:
+    if q0 == 0 and a and min(a) < 0:
+        raise ZeroDivisionError("negative power of q at q=0")
+    return sum((v * q0 ** e for e, v in a.items()), Fraction(0))
 
-    def evaluate(self, q0: Fraction) -> Fraction:
-        q0 = Fraction(q0)
-        if q0 == 0 and self.coeffs and min(self.coeffs) < 0:
-            raise ZeroDivisionError("negative power of q at q=0")
-        return sum((v * q0 ** e for e, v in self.coeffs.items()), Fraction(0))
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LaurentPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(tuple(sorted(self.coeffs.items())))
-
-    def __str__(self) -> str:
-        return join_terms((self.coeffs[e], power_str("q", e))
-                          for e in sorted(self.coeffs, reverse=True))
-
-    def __repr__(self) -> str:
-        return f"LaurentPoly({self.coeffs!r})"
+def _poly_str(a: dict) -> str:
+    return join_terms((a[e], power_str("q", e))
+                      for e in sorted(a, reverse=True))
 
 
 def power_str(var: str, e: int) -> str:
@@ -263,7 +224,7 @@ def _exact_quotient(a: list, g: list) -> list:
     return out
 
 
-def _canonical(num: LaurentPoly, den: LaurentPoly):
+def _canonical(num: dict, den: dict):
     """Reduce num/den: cancel common factors, shift the denominator to an
     ordinary polynomial with coprime integer coefficients and positive
     leading coefficient.
@@ -276,14 +237,14 @@ def _canonical(num: LaurentPoly, den: LaurentPoly):
     quotient of the denominator is then canonical, and the two contents
     meet in the numerator.  A side that is a single term has a constant
     primitive part, and no gcd is taken."""
-    if den.is_zero():
+    if not den:
         raise ZeroDivisionError("division by the zero polynomial")
-    if num.is_zero():
-        return LaurentPoly(), LaurentPoly.one()
-    a = num.valuation()
-    b = den.valuation()
-    cn, ln, n0 = _primitive(num.coeffs, a)
-    cd, ld, d0 = _primitive(den.coeffs, b)
+    if not num:
+        return {}, _ONE_COEFFS
+    a = min(num)
+    b = min(den)
+    cn, ln, n0 = _primitive(num, a)
+    cd, ld, d0 = _primitive(den, b)
     if len(n0) > 1 and len(d0) > 1:
         g = _prs_gcd(n0, d0)
         if len(g) > 1:
@@ -305,54 +266,61 @@ def _canonical(num: LaurentPoly, den: LaurentPoly):
                 h = _int_gcd(c, bottom)
                 c = c // h if h == bottom else Fraction(c, bottom)
             out[i + shift] = c
-    num_out = LaurentPoly.__new__(LaurentPoly)
-    num_out.coeffs = out
-    den_out = LaurentPoly.__new__(LaurentPoly)
-    den_out.coeffs = {i: c for i, c in enumerate(d0) if c}
-    return num_out, den_out
+    if len(d0) == 1:
+        return out, _ONE_COEFFS
+    return out, {i: c for i, c in enumerate(d0) if c}
+
+
+def _make(num: dict, den: dict = _ONE_COEFFS) -> "Scalar":
+    """The scalar num/den from maps already in canonical form, unchecked."""
+    out = _new(Scalar)
+    out.num = num
+    out.den = den
+    return out
 
 
 class Scalar:
     """An element of Q(q) in canonical form: numerator a Laurent polynomial,
     denominator an ordinary polynomial in q with coprime integer coefficients
-    and positive leading coefficient.  Structural equality decides equality
-    in the field.
+    and positive leading coefficient, each a map {exponent: coefficient}.
+    Structural equality decides equality in the field.
+
+    `Scalar(num, den=None)` checks both mappings as `_laurent` does (a float
+    raises `TypeError`, an integral `Fraction` is stored as `int`) and
+    reduces num/den; `den=None` stands for 1.
 
     >>> parse_scalar("(q^2-1)/(q+q^-1)") == parse_scalar("(q^3-q)/(q^2+1)")
     True
+    >>> str(Scalar({1: 1, -1: -1}))
+    'q - q^-1'
+    >>> Scalar({0: Fraction(4, 2)}).num
+    {0: 2}
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: LaurentPoly, den: LaurentPoly | None = None):
-        if den is None:
-            den = LaurentPoly.one()
-        self.num, self.den = _canonical(num, den)
-
-    @classmethod
-    def _raw(cls, num: LaurentPoly, den: LaurentPoly) -> "Scalar":
-        out = cls.__new__(cls)
-        out.num, out.den = num, den
-        return out
+    def __init__(self, num, den=None):
+        self.num, self.den = _canonical(
+            _laurent(num), _ONE_COEFFS if den is None else _laurent(den))
 
     @classmethod
     def from_int(cls, k) -> "Scalar":
-        return cls._raw(LaurentPoly({0: k}), LaurentPoly.one())
+        return _make(_laurent({0: k}))
 
     @classmethod
     def q_power(cls, k: int) -> "Scalar":
-        return cls._raw(LaurentPoly({k: 1}), LaurentPoly.one())
+        return _make(_laurent({k: 1}))
 
     def is_zero(self) -> bool:
-        return not self.num.coeffs
+        return not self.num
 
     def is_one(self) -> bool:
-        return self.num.coeffs == _ONE_COEFFS == self.den.coeffs
+        return self.num == _ONE_COEFFS == self.den
 
     def as_monomial(self):
         """Return (exponent, coefficient) if the scalar is c*q**e, else None."""
-        if self.den.is_one() and len(self.num.coeffs) == 1:
-            ((e, v),) = self.num.coeffs.items()
+        if self.den == _ONE_COEFFS and len(self.num) == 1:
+            ((e, v),) = self.num.items()
             return e, v
         return None
 
@@ -360,16 +328,15 @@ class Scalar:
         if type(other) is not Scalar and (other := _coerce(other)) is NotImplemented:
             return NotImplemented
         sd, od = self.den, other.den
-        if sd.coeffs == od.coeffs:
-            num = self.num + other.num
-            if not num.coeffs:
+        if sd == od:
+            num = _poly_add(self.num, other.num)
+            if not num:
                 return ZERO
-            if sd.coeffs != _ONE_COEFFS:
+            if sd != _ONE_COEFFS:
                 return Scalar(num, sd)
-            out = _new(Scalar)
-            out.num, out.den = num, sd
-            return out
-        return Scalar(self.num * od + other.num * sd, sd * od)
+            return _make(num, sd)
+        return Scalar(_poly_add(_poly_mul(self.num, od),
+                                _poly_mul(other.num, sd)), _poly_mul(sd, od))
 
     __radd__ = __add__
 
@@ -382,9 +349,7 @@ class Scalar:
         return _coerce(other) - self
 
     def __neg__(self) -> "Scalar":
-        out = _new(Scalar)
-        out.num, out.den = -self.num, self.den
-        return out
+        return _make(_poly_neg(self.num), self.den)
 
     def __mul__(self, other) -> "Scalar":
         if other is ONE:
@@ -393,26 +358,25 @@ class Scalar:
             return NotImplemented
         if self is ONE:
             return other
-        a, b = self.num.coeffs, other.num.coeffs
+        a, b = self.num, other.num
         if not a or not b:
             return ZERO
         sd, od = self.den, other.den
-        if sd.coeffs == _ONE_COEFFS and od.coeffs == _ONE_COEFFS:
+        if sd == _ONE_COEFFS == od:
             if b == _ONE_COEFFS:
                 return self
             if a == _ONE_COEFFS:
                 return other
-            out = _new(Scalar)
-            out.num, out.den = self.num * other.num, sd
-            return out
-        return Scalar(self.num * other.num, sd * od)
+            return _make(_poly_mul(a, b), sd)
+        return Scalar(_poly_mul(a, b), _poly_mul(sd, od))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Scalar":
         if type(other) is not Scalar and (other := _coerce(other)) is NotImplemented:
             return NotImplemented
-        return Scalar(self.num * other.den, self.den * other.num)
+        return Scalar(_poly_mul(self.num, other.den),
+                      _poly_mul(self.den, other.num))
 
     def __rtruediv__(self, other) -> "Scalar":
         return _coerce(other) / self
@@ -421,9 +385,7 @@ class Scalar:
         # a unit monomial +-q^k has the inverse +-q^-k, already canonical
         m = self.as_monomial()
         if m is not None and m[1] in (1, -1):
-            num = _new(LaurentPoly)
-            num.coeffs = {-m[0]: m[1]}
-            return Scalar._raw(num, self.den)
+            return _make({-m[0]: m[1]}, self.den)
         return Scalar(self.den, self.num)
 
     def __pow__(self, k: int) -> "Scalar":
@@ -441,34 +403,34 @@ class Scalar:
     def evaluate(self, q0) -> Fraction:
         """Exact substitution q -> q0; raises ZeroDivisionError at a pole."""
         q0 = Fraction(q0)
-        d = self.den.evaluate(q0)
+        d = _poly_eval(self.den, q0)
         if d == 0:
             raise ZeroDivisionError(f"pole at q = {q0}")
-        return self.num.evaluate(q0) / d
+        return _poly_eval(self.num, q0) / d
 
     def __eq__(self, other) -> bool:
         if type(other) is not Scalar and (other := _coerce(other)) is NotImplemented:
             return NotImplemented
-        return (self.num.coeffs == other.num.coeffs
-                and self.den.coeffs == other.den.coeffs)
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
-        return hash((self.num, self.den))
+        return hash((tuple(sorted(self.num.items())),
+                     tuple(sorted(self.den.items()))))
 
     def __str__(self) -> str:
-        if self.den.is_one():
-            return str(self.num)
-        num, den = str(self.num), str(self.den)
-        if len(self.num.coeffs) > 1:
+        num = _poly_str(self.num)
+        if self.den == _ONE_COEFFS:
+            return num
+        if len(self.num) > 1:
             num = f"({num})"
-        return f"{num}/({den})"
+        return f"{num}/({_poly_str(self.den)})"
 
     def __repr__(self) -> str:
         return f"Scalar({self})"
 
 
-ZERO = Scalar._raw(LaurentPoly(), LaurentPoly.one())
-ONE = Scalar._raw(LaurentPoly.one(), LaurentPoly.one())
+ZERO = _make({})
+ONE = _make(_ONE_COEFFS)
 Q = Scalar.q_power(1)
 
 
@@ -476,9 +438,8 @@ def _coerce(x):
     if isinstance(x, Scalar):
         return x
     if isinstance(x, (int, Fraction)):
-        return Scalar._raw(LaurentPoly({0: x}), LaurentPoly.one())
+        return _make(_laurent({0: x}))
     return NotImplemented
-
 
 def q_integer(n: int, base: Scalar = Q) -> Scalar:
     """The balanced q-integer in expanded Laurent form:

@@ -220,8 +220,11 @@ class GeneratorCoalgebra:
             left: dict = {}
             right: dict = {}
             for l, r, c in self.delta[s]:
-                vec_add_scaled(left, {r: self.counit_word(l)}, c)
-                vec_add_scaled(right, {l: self.counit_word(r)}, c)
+                # a zero counit adds nothing, and vectors hold no zero entry
+                if not (e := self.counit_word(l)).is_zero():
+                    vec_add_scaled(left, {r: e}, c)
+                if not (e := self.counit_word(r)).is_zero():
+                    vec_add_scaled(right, {l: e}, c)
             expect = {(s,): ONE}
             report.add(f"(eps x 1)delta = id on {s}", left == expect)
             report.add(f"(1 x eps)delta = id on {s}", right == expect)

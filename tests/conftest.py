@@ -1,7 +1,14 @@
 import os
+import sys
 from pathlib import Path
 
 import pytest
+
+# a test run leaves no bytecode cache under src/, in this process or in the
+# CLI subprocesses: a cache left in the tree would make a later cold start
+# of the package (the benchmark's setup time) look faster than it is
+sys.dont_write_bytecode = True
+os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
 
 from braidalg import builtin_sl
 from braidalg.ncalg import RelationSet

@@ -57,7 +57,7 @@ from braidalg.linalg import Echelon, vec_add_scaled, vec_kron
 from braidalg.frt import t_names
 from braidalg.ncalg import (CompletionLog, NCPoly, RelationSet, RewriteSystem,
                             vector_to_poly, word_index)
-from braidalg.scalar import ONE, ZERO, LaurentPoly
+from braidalg.scalar import ONE, ZERO
 
 P = 2 ** 61 - 1
 
@@ -167,7 +167,7 @@ def _residue(scalar, q0: int) -> int:
     coefficients of its numerator and denominator."""
     def at(poly) -> int:
         total = 0
-        for e, v in poly.coeffs.items():
+        for e, v in poly.items():
             v = Fraction(v)
             total += v.numerator * pow(v.denominator, -1, P) * pow(q0, e, P)
         return total % P
@@ -335,17 +335,46 @@ def dense_det(a: list[list]):
 # --- Q(q) canonical form reference --------------------------------------------
 
 
-def canonical_reference(num: LaurentPoly, den: LaurentPoly):
+def laurent_add(a: dict, b: dict) -> dict:
+    """The sum of Laurent polynomials {exponent: coefficient}, with no
+    zero coefficient and integral coefficients as `int`."""
+    out = dict(a)
+    for e, v in b.items():
+        out[e] = out.get(e, 0) + v
+    return _laurent_stored(out)
+
+
+def laurent_mul(a: dict, b: dict) -> dict:
+    """The product of Laurent polynomials {exponent: coefficient}, with no
+    zero coefficient and integral coefficients as `int`."""
+    out: dict = {}
+    for ea, va in a.items():
+        for eb, vb in b.items():
+            out[ea + eb] = out.get(ea + eb, 0) + va * vb
+    return _laurent_stored(out)
+
+
+def _laurent_stored(p: dict) -> dict:
+    out = {}
+    for e, v in p.items():
+        v = Fraction(v)
+        if v:
+            out[e] = v.numerator if v.denominator == 1 else v
+    return out
+
+
+def canonical_reference(num: dict, den: dict):
     """(numerator, denominator) of num/den in canonical form: no common
     factor, the denominator an ordinary polynomial with coprime integer
-    coefficients and a positive leading coefficient."""
-    if den.is_zero():
+    coefficients and a positive leading coefficient.  Polynomials are maps
+    {exponent: coefficient} with no zero coefficient."""
+    if not den:
         raise ZeroDivisionError("division by the zero polynomial")
-    if num.is_zero():
-        return LaurentPoly(), LaurentPoly.one()
-    a, b = num.valuation(), den.valuation()
-    n0 = {e - a: Fraction(v) for e, v in num.coeffs.items()}
-    d0 = {e - b: Fraction(v) for e, v in den.coeffs.items()}
+    if not num:
+        return {}, {0: 1}
+    a, b = min(num), min(den)
+    n0 = {e - a: Fraction(v) for e, v in num.items()}
+    d0 = {e - b: Fraction(v) for e, v in den.items()}
     g = _euclid_gcd(n0, d0)
     n0, _ = _long_division(n0, g)
     d0, _ = _long_division(d0, g)
@@ -358,8 +387,8 @@ def canonical_reference(num: LaurentPoly, den: LaurentPoly):
     factor = Fraction(denoms, nums)
     if d0[max(d0)] < 0:
         factor = -factor
-    return (LaurentPoly({e + a - b: v * factor for e, v in n0.items()}),
-            LaurentPoly({e: v * factor for e, v in d0.items()}))
+    return (_laurent_stored({e + a - b: v * factor for e, v in n0.items()}),
+            _laurent_stored({e: v * factor for e, v in d0.items()}))
 
 
 def _long_division(a: dict, b: dict):

@@ -13,8 +13,7 @@ from braidalg.linalg import (BraidedSpace, BraidEquationError, SymMatrix,
                              invert, kron, minimal_poly, solve_commutant)
 from braidalg.linalg import (Echelon, linear_solve, vec_add_scaled,
                              vec_kron)
-from braidalg.scalar import (LaurentPoly, ONE, Q, ZERO, Scalar, parse_poly,
-                             parse_scalar)
+from braidalg.scalar import ONE, Q, ZERO, Scalar, parse_poly, parse_scalar
 from braidalg.builtin import sl_rtt_matrix
 from braidalg.builtin import adjoint_sl2, builtin_sl, classical_space
 from braidalg.frt import frt_relations
@@ -39,8 +38,8 @@ def test_kron_unit_index_convention():
 
 
 def _random_matrix(rng, n):
-    return SymMatrix([[Scalar(LaurentPoly({rng.randint(-1, 1):
-                                           Fraction(rng.randint(-2, 2))}))
+    return SymMatrix([[Scalar({rng.randint(-1, 1):
+                               Fraction(rng.randint(-2, 2))})
                        for _ in range(n)] for _ in range(n)])
 
 
@@ -280,7 +279,7 @@ def test_extend_braiding_equals_dense_crossings(sl2):
         assert extend_braiding(space, m, n) == dense, (m, n)
 
 
-_scalars = st.builds(lambda c, e: Scalar(LaurentPoly({e: Fraction(c)})),
+_scalars = st.builds(lambda c, e: Scalar({e: Fraction(c)}),
                      st.integers(-2, 2), st.integers(-1, 1))
 _vectors = st.dictionaries(st.integers(0, 5), _scalars, max_size=4).map(
     lambda v: {i: c for i, c in v.items() if not c.is_zero()})
@@ -338,7 +337,7 @@ _squares = st.integers(1, 3).flatmap(lambda n: st.lists(
 def _domain_scalar(x: Scalar):
     def laurent(p):
         return sum((sympy.Rational(v.numerator, v.denominator) * _q ** e
-                    for e, v in p.coeffs.items()), sympy.Integer(0))
+                    for e, v in p.items()), sympy.Integer(0))
     return _K.from_sympy(laurent(x.num) / laurent(x.den))
 
 
@@ -488,6 +487,23 @@ def test_vec_kron_copies_a_unit_entry_without_a_product(monkeypatch):
                         lambda *args: calls.append(args))
     assert vec_kron({0: ONE}, {0: Q, 1: -Q}, 2) == {0: Q, 1: -Q}
     assert calls == []
+
+
+def test_a_residual_with_pivot_one_is_kept_without_an_inverse(monkeypatch):
+    calls = []
+    inverse = Scalar.inverse
+    monkeypatch.setattr(Scalar, "inverse",
+                        lambda self: calls.append(self) or inverse(self))
+    ech = Echelon()
+    assert ech.insert({1: ONE, 3: Q})
+    # reduces to {0: 1, 2: q^2, 3: q^2}; its pivot entry 1 is not `ONE`
+    assert ech.insert({0: Scalar({0: 1}), 1: -Q, 2: Q ** 2})
+    assert calls == []
+    assert ech.basis() == [{0: ONE, 2: Q ** 2, 3: Q ** 2}, {1: ONE, 3: Q}]
+    assert ech.insert({2: Q, 3: ONE})
+    assert calls == [Q]
+    assert ech.basis() == [{0: ONE, 3: Q ** 2 - Q}, {1: ONE, 3: Q},
+                           {2: ONE, 3: Q ** -1}]
 
 
 def test_braided_space_builds_no_inverse(sl3, monkeypatch):

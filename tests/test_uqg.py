@@ -139,6 +139,25 @@ def test_generator_coalgebra_laws(sl2, sl3):
     assert classical.check_counit().passed
 
 
+def test_coalgebra_checks_add_no_zero_entry(monkeypatch):
+    """Vectors hold no zero entry, so the law checks at construction never
+    hand `vec_add_scaled` one, not even for a counit that is zero."""
+    import braidalg.uqg
+    add = braidalg.uqg.vec_add_scaled
+    given = []
+
+    def spy(target, src, c):
+        given.extend(src.values())
+        return add(target, src, c)
+
+    monkeypatch.setattr(braidalg.uqg, "vec_add_scaled", spy)
+    presentation_from_cartan(CartanData.sl(3)).coalgebra
+    GeneratorCoalgebra.classical(["X1", "X2"])
+    GeneratorCoalgebra.matrix(3)
+    assert given
+    assert [v for v in given if v.is_zero()] == []
+
+
 def test_check_representation_builtin(sl2, sl3):
     for rep, _ in (sl2, sl3):
         assert check_representation(rep).passed

@@ -35,8 +35,7 @@ def builtin_sl(n: int):
     """The vector representation of U_q(sl_n) (K_i = q^-1 e_ii + q e_(i+1)(i+1)
     + identity elsewhere, E_i = e_(i+1)i, F_i = e_i(i+1)) together with its
     braided space.  Returns (Representation, BraidedSpace)."""
-    if n < 2:
-        raise ValueError("builtin sl(n) needs n >= 2")
+    space = sl_space(n)
     pres = presentation_from_cartan(CartanData.sl(n))
     assign = {}
     for i in range(n - 1):
@@ -46,8 +45,15 @@ def builtin_sl(n: int):
         assign[Gen("E", i)] = SymMatrix.unit(n, i + 1, i)
         assign[Gen("F", i)] = SymMatrix.unit(n, i, i + 1)
     rep = Representation(pres, assign, name=f"sl:{n} vector representation")
-    space = BraidedSpace(sl_rtt_matrix(n))
     return rep, space
+
+
+def sl_space(n: int) -> BraidedSpace:
+    """The braided space of the vector representation of U_q(sl_n), with
+    `sl_rtt_matrix(n)` as its exchange matrix."""
+    if n < 2:
+        raise ValueError("builtin sl(n) needs n >= 2")
+    return BraidedSpace(sl_rtt_matrix(n))
 
 
 def classical_space(n: int) -> BraidedSpace:
@@ -133,6 +139,17 @@ def _restrict_to(op: SymMatrix, basis: list[dict], dim: int) -> SymMatrix:
 def resolve_builtin(spec: str):
     """Resolve 'sl:n', n in ASCII digits, to (Representation,
     BraidedSpace)."""
+    return builtin_sl(_sl_n(spec))
+
+
+def resolve_builtin_space(spec: str) -> BraidedSpace:
+    """Resolve 'sl:n' to its braided space alone, building no
+    representation."""
+    return sl_space(_sl_n(spec))
+
+
+def _sl_n(spec: str) -> int:
+    """The n of a builtin 'sl:n', n in ASCII digits."""
     if match := re.fullmatch(r"sl:([0-9]+)", spec):
-        return builtin_sl(int(match[1]))
+        return int(match[1])
     raise ValueError(f"unknown builtin {spec!r} (expected 'sl:n')")

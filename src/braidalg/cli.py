@@ -14,13 +14,14 @@ import json
 import math
 import sys
 
-from .builtin import resolve_builtin
+from .builtin import resolve_builtin, resolve_builtin_space
 from .fixtures import (braiding_from_fixture, load_fixture,
                        relations_from_fixture, representation_from_fixture,
                        space_from_fixture)
 from .frt import (check_duality, frt_coideal_check, frt_hilbert,
                   frt_relations, refuse_duality)
-from .linalg import BraidedSpace, BraidEquationError, check_braid, minimal_poly
+from .linalg import (BraidCheck, BraidedSpace, BraidEquationError, check_braid,
+                     minimal_poly)
 from .ncalg import complete_rewrite, hilbert
 from .report import Report
 from .scalar import ScalarParseError, join_terms, parse_poly, power_str
@@ -44,9 +45,10 @@ def degree(text: str) -> int:
 def _resolve_braiding(args, command: str, doc=None):
     """Returns (label, braiding candidate matrix, braided space or None)
     without requiring the braid equation to hold: a builtin comes with the
-    space it was built and verified as, a fixture (`doc` if read) with None."""
+    space it was built and verified as, and no representation, a fixture
+    (`doc` if read) with None."""
     if args.builtin is not None:
-        _, space = resolve_builtin(args.builtin)
+        space = resolve_builtin_space(args.builtin)
         return args.builtin, space.braiding, space
     doc = doc or load_fixture(args.input)
     if doc.get("kind") != "rmatrix":
@@ -59,6 +61,8 @@ def _resolve_spec(spec: str, flag: str):
     --rmatrix: a builtin if `spec` starts with 'sl:', else a fixture path (a
     fixture named sl:... is given as ./sl:...); --rmatrix gives no rep."""
     if spec.startswith("sl:"):
+        if flag == "--rmatrix":
+            return None, resolve_builtin_space(spec)
         return resolve_builtin(spec)
     doc = load_fixture(spec)
     if flag == "--rmatrix":
@@ -92,8 +96,9 @@ def _invalid_braiding(args, payload: dict, exc: BraidEquationError) -> int:
 
 
 def cmd_validate_r(args) -> int:
-    label, braiding, _ = _resolve_braiding(args, "validate-r")
-    result = check_braid(braiding)
+    label, braiding, space = _resolve_braiding(args, "validate-r")
+    # a builtin space checked the braid equation when it was built
+    result = check_braid(braiding) if space is None else BraidCheck(True)
     dim = math.isqrt(braiding.rows)
     convention = ("braid-equation operator = exchange matrix composed with "
                   "the flip (builtin and rtt-form fixtures)")

@@ -8,7 +8,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .builtin import resolve_builtin
+from .builtin import resolve_builtin_space
 from .linalg import BraidedSpace, SymMatrix, flip_matrix
 from .ncalg import NCPoly, RelationSet
 from .scalar import ZERO, Scalar, ScalarParseError, parse_scalar
@@ -125,7 +125,7 @@ def representation_from_fixture(doc: dict):
             raise FixtureError("representation fixture 'rmatrix' must be an "
                                "rmatrix object or {\"builtin\": \"sl:n\"}")
         if "builtin" in rdoc:
-            _, space = resolve_builtin(rdoc["builtin"])
+            space = resolve_builtin_space(rdoc["builtin"])
         else:
             space = space_from_fixture({"kind": "rmatrix", **rdoc})
     return rep, space

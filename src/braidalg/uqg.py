@@ -18,9 +18,9 @@ from functools import cached_property
 from math import lcm
 
 from .linalg import (BraidedSpace, Echelon, SymMatrix, combine,
-                     extend_braiding, invert, kron, vec_add_scaled)
+                     extend_braiding, invert, vec_add_scaled, vec_kron)
 from .ncalg import (DegreeBoundError, NCPoly, RelationSet, RewriteSystem,
-                    Word, vector_to_poly, word_index, word_str)
+                    Word, index_word, vector_to_poly, word_index, word_str)
 from .report import Report
 from .scalar import ONE, ZERO, Scalar, q_binomial
 
@@ -334,11 +334,13 @@ class ActionTable:
 
     `act` is the one way a word of symbols reaches V^(x)k; `operator` is its
     column-by-column matrix.  The extended action of a symbol is built once
-    per (symbol, k) by one coproduct step, V^(x)k = V (x) V^(x)(k-1): the
-    sum of c * (l on V) (x) (r on V^(x)(k-1)) over the terms (l, r, c) of
-    its coproduct, the right factor from the memoized (k-1)-st power.  Unknown
-    symbols and negative tensor powers are refused with ValueError when an
-    extended action is first built."""
+    per (symbol, k) by one coproduct step, V^(x)k = V (x) V^(x)(k-1), one
+    column at a time: column (a, b), the basis vector e_a (x) e_b, goes to
+    the sum of c * (l e_a) (x) (r e_b) over the terms (l, r, c) of its
+    coproduct, r e_b a column of the memoized (k-1)-st power.  No whole
+    Kronecker product is formed.  Unknown symbols and negative tensor
+    powers are refused with ValueError when an extended action is first
+    built."""
 
     def __init__(self, coalgebra: GeneratorCoalgebra, matrices: dict,
                  dim: int):
@@ -364,12 +366,28 @@ class ActionTable:
             elif k == 1:
                 op = self.matrices[symbol]
             else:
-                size = self.dim ** k
-                op = combine(size, size, (
-                    (kron(self.operator(l, 1), self.operator(r, k - 1)), c)
-                    for l, r, c in self.coalgebra.delta[symbol]))
+                op = self._coproduct_step(symbol, k)
             self._extended[key] = op
         return op
+
+    def _coproduct_step(self, symbol, k: int) -> SymMatrix:
+        """The action of `symbol` on V^(x)k, k >= 2, column by column from
+        the operators of its coproduct terms on V and on V^(x)(k-1)."""
+        m = self.dim ** (k - 1)
+        terms = [(self.operator(l, 1).columns, self.operator(r, k - 1).columns,
+                  c) for l, r, c in self.coalgebra.delta[symbol]]
+        columns = []
+        for left in range(self.dim):
+            for right in range(m):
+                col: dict = {}
+                for lcols, rcols, c in terms:
+                    part = vec_kron(lcols[left], rcols[right], m)
+                    if col or c is not ONE:
+                        vec_add_scaled(col, part, c)
+                    else:
+                        col = part  # a fresh dict: no copy needed
+                columns.append(col)
+        return SymMatrix.from_columns(self.dim * m, columns)
 
     def act(self, uword, vec: dict, k: int) -> dict:
         """Apply a word of symbols to a vector of V^(x)k, last symbol
@@ -546,23 +564,53 @@ def check_ideal_preserved(rep: Representation, rels: RelationSet) -> Report:
 # --- measuring checks --------------------------------------------------------
 
 
-def _measuring_residual(actions: ActionTable, rs: RewriteSystem, symbol,
-                        a: Word, b: Word) -> NCPoly:
-    """NF(sigma(c)(NF(ab) - ab)), the measuring residual of c on the normal
-    words a, b: zero when the identity holds on this triple.  The extended
-    actions come from the coproduct, whose coassociativity and counit law
-    `GeneratorCoalgebra` verifies, so the sum of sigma(c_(1))(a) (x)
-    sigma(c_(2))(b) is sigma(c) on the word ab (Sweedler, *Hopf Algebras*,
-    1969, ch. VII), and the residual is sigma(c) on the ideal element
-    NF(ab) - ab: the descent criterion, pair by pair.  A normal word ab
-    needs no action."""
-    n, k = actions.dim, len(a) + len(b)
-    vec = {word_index(w, n): c for w, c
-           in rs.normal_form_word(a + b).coeffs.items()}
-    vec_add_scaled(vec, {word_index(a + b, n): ONE}, -ONE)
-    if not vec:
-        return NCPoly()
-    return rs.normal_form(vector_to_poly(actions.act((symbol,), vec, k), n, k))
+class _MeasuringContext:
+    """The measuring residuals of one check, over word indices.
+
+    The residual of a symbol c on normal words a, b is
+    NF(sigma(c)(NF(ab) - ab)): zero when the identity holds on this triple.
+    The extended actions come from the coproduct, whose coassociativity and
+    counit law `GeneratorCoalgebra` verifies, so the sum of
+    sigma(c_(1))(a) (x) sigma(c_(2))(b) is sigma(c) on the word ab
+    (Sweedler, *Hopf Algebras*, 1969, ch. VII), and the residual is sigma(c)
+    on the ideal element NF(ab) - ab: the descent criterion, pair by pair.
+
+    Vectors are sparse over the word indices of one tensor power.  The
+    normal forms of words are kept, keyed by (degree, word index), for as
+    long as the context lives, which is one check: no memo outlives it."""
+
+    def __init__(self, actions: ActionTable, rs: RewriteSystem):
+        self.actions = actions
+        self.rs = rs
+        self._normal: dict = {}
+
+    def normal_form(self, k: int, idx: int) -> dict:
+        """The normal form of the word of index `idx` in degree k."""
+        key = (k, idx)
+        nf = self._normal.get(key)
+        if nf is None:
+            n = self.actions.dim
+            word = index_word(idx, n, k)
+            nf = {word_index(w, n): c for w, c
+                  in self.rs.normal_form_word(word).coeffs.items()}
+            self._normal[key] = nf
+        return nf
+
+    def ideal_vector(self, word: Word) -> dict:
+        """NF(w) - w for a product word w: empty exactly when w is
+        normal, and then every symbol measures it."""
+        idx = word_index(word, self.actions.dim)
+        vec = dict(self.normal_form(len(word), idx))
+        vec_add_scaled(vec, {idx: ONE}, -ONE)
+        return vec
+
+    def measuring_residual(self, symbol, ideal: dict, k: int) -> dict:
+        """NF(sigma(symbol)(ideal)) for an ideal vector of degree k: the
+        normal forms of the acted words, summed."""
+        out: dict = {}
+        for idx, c in self.actions.act((symbol,), ideal, k).items():
+            vec_add_scaled(out, self.normal_form(k, idx), c)
+        return out
 
 
 def _monomial_pairs(rs: RewriteSystem, max_degree: int) -> list:
@@ -574,29 +622,34 @@ def _monomial_pairs(rs: RewriteSystem, max_degree: int) -> list:
 def _measure(report: Report, actions: ActionTable, rs: RewriteSystem,
              pairs: list, symbols, verb: str, show_residual: bool) -> Report:
     """Check the measuring identity for every (symbol, pair), one report
-    item per symbol.  An empty pair list is refused: it would pass without
-    checking anything."""
+    item per symbol.  The ideal vector of each distinct product word ab is
+    built once and shared by every symbol; a normal product word passes
+    for all of them at once.  A residual becomes a polynomial only when it
+    is shown as the first witness.  An empty pair list is refused: it would
+    pass without checking anything."""
     if not pairs:
         raise ValueError("no monomial pairs to check; raise the degree bound "
                          "or the sample count")
     if actions.dim != rs.alphabet:
         raise ValueError("matrix size must match the quotient alphabet")
+    context = _MeasuringContext(actions, rs)
+    words = [a + b for a, b in pairs]
+    ideals = {w: vec for w in dict.fromkeys(words)
+              if (vec := context.ideal_vector(w))}
     for s in symbols:
-        bad, witness = 0, ""
-        residuals: dict = {}
-        for a, b in pairs:
-            if a + b not in residuals:
-                residuals[a + b] = _measuring_residual(actions, rs, s, a, b)
-            residual = residuals[a + b]
-            if not residual.is_zero():
-                bad += 1
-                if not witness:
-                    witness = (f"a={word_str(a, rs.names)} "
-                               f"b={word_str(b, rs.names)}")
-                    if show_residual:
-                        witness += " residual=" + residual.render(rs.names)
-        report.add(f"{s} {verb} ({len(pairs)} pairs)", bad == 0,
-                   "" if bad == 0 else f"{bad} counterexamples; first: {witness}")
+        residuals = {w: context.measuring_residual(s, vec, len(w))
+                     for w, vec in ideals.items()}
+        failing = [(a, b, w) for (a, b), w in zip(pairs, words)
+                   if residuals.get(w)]
+        detail = ""
+        if failing:
+            a, b, w = failing[0]
+            detail = (f"{len(failing)} counterexamples; first: "
+                      f"a={word_str(a, rs.names)} b={word_str(b, rs.names)}")
+            if show_residual:
+                residual = vector_to_poly(residuals[w], rs.alphabet, len(w))
+                detail += " residual=" + residual.render(rs.names)
+        report.add(f"{s} {verb} ({len(pairs)} pairs)", not failing, detail)
     return report
 
 

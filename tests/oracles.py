@@ -1,6 +1,7 @@
 """Test-local references for `ncalg.hilbert_oracle`,
 `ncalg.complete_rewrite`, `linalg.SymMatrix` arithmetic,
-`uqg._measuring_residual`, `frt.frt_relations` and `scalar._canonical`.
+`uqg.ActionTable.extended`, the measuring residuals of `uqg`,
+`frt.frt_relations` and `scalar._canonical`.
 
 `hilbert_reference` is the definition: the rank of the degree-2 relations
 placed at every position of V**d, eliminated exactly over Q(q).  It costs
@@ -29,12 +30,20 @@ with `SymMatrix`, which stores its matrices by columns; `dense_rows` reads a
 `ActionTable.extended`, which takes one coproduct step per tensor power
 instead; coassociativity makes the two agree.
 
-`measuring_residual_reference` is the Sweedler split that
-`uqg._measuring_residual` replaced: the action of c on the normal form of ab
-minus the sum, over the coproduct terms (l, r, c') of c, of
-c' * (l on a) (x) (r on b), built as one vector of V^(x)(|a|+|b|) and reduced
-once.  It splits the word at the boundary of a and b, where the library acts
-on the whole word ab; coassociativity and the counit law make the two agree.
+`extended_reference` is the construction that `ActionTable.extended`
+replaced for k >= 2: the sum of c * kron(l on V, r on V^(x)(k-1)) over the
+coproduct terms (l, r, c) of the symbol, as whole matrices added by
+`linalg.combine`, the right factor from this reference at k - 1.  The
+library builds the same operator column by column, with no Kronecker
+product of matrices.
+
+`measuring_residual_reference` is the Sweedler split that the library's
+measuring residual (`uqg._MeasuringContext`) replaced: the action of c on
+the normal form of ab minus the sum, over the coproduct terms (l, r, c') of
+c, of c' * (l on a) (x) (r on b), built as one vector of V^(x)(|a|+|b|) and
+reduced once as a polynomial.  It splits the word at the boundary of a and
+b, where the library acts on the whole word ab, over word indices;
+coassociativity and the counit law make the two agree.
 
 `frt_relations_reference` is the construction that `frt.frt_relations`
 replaced: the t-relations as the columns of tau (B^T (x) 1 - 1 (x) B) tau on
@@ -53,7 +62,8 @@ import math
 import random
 from fractions import Fraction
 
-from braidalg.linalg import Echelon, vec_add_scaled, vec_kron
+from braidalg.linalg import (Echelon, SymMatrix, combine, kron,
+                            vec_add_scaled, vec_kron)
 from braidalg.frt import t_names
 from braidalg.ncalg import (CompletionLog, NCPoly, RelationSet, RewriteSystem,
                             vector_to_poly, word_index)
@@ -281,6 +291,27 @@ def iterated_coproduct(coalgebra, symbol, k: int) -> list:
                 expanded[key] = expanded.get(key, ZERO) + c * c2
         terms = [(w, c) for w, c in expanded.items() if not c.is_zero()]
     return terms
+
+
+def extended_reference(actions, symbol, k: int):
+    """The action of `symbol` on V^(x)k as combine over kron: k <= 1 is
+    read from the table, whose k = 1 operators are the given matrices and
+    whose k = 0 one is the counit."""
+    if k <= 1:
+        return actions.extended(symbol, k)
+    size = actions.dim ** k
+    return combine(size, size, (
+        (kron(_word_reference(actions, left, 1),
+              _word_reference(actions, right, k - 1)), c)
+        for left, right, c in actions.coalgebra.delta[symbol]))
+
+
+def _word_reference(actions, word, k: int):
+    """A word of symbols on V^(x)k, the product of their references."""
+    out = SymMatrix.identity(actions.dim ** k)
+    for s in word:
+        out = out * extended_reference(actions, s, k)
+    return out
 
 
 def measuring_residual_reference(actions, rs, symbol, a, b) -> NCPoly:

@@ -1,13 +1,15 @@
 """The action table against dense references built here from the whole
 (k-1)-fold coproduct of `oracles.iterated_coproduct` and the row-list
-Kronecker products of `oracles.py`, and `SymMatrix` arithmetic against that
-row-list reference."""
+Kronecker products of `oracles.py`, and against `oracles.extended_reference`,
+the whole-matrix construction it replaced; `SymMatrix` arithmetic against
+the row-list reference."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import (dense_apply, dense_det, dense_identity, dense_kron,
                      dense_kron_all, dense_product, dense_rows, dense_scale,
-                     dense_sum, dense_zeros, iterated_coproduct)
+                     dense_sum, dense_zeros, extended_reference,
+                     iterated_coproduct)
 
 from braidalg.builtin import adjoint_sl2, builtin_sl, sl2_lie_actions
 from braidalg.linalg import SymMatrix, invert, kron
@@ -68,6 +70,41 @@ def test_extended_actions_match_dense_reference(spec, max_k):
             reference = _dense_extended(table.coalgebra, table.matrices, s, k,
                                         table.dim)
             assert dense_rows(table.extended(s, k)) == reference, (s, k)
+
+
+@pytest.mark.parametrize("spec", ["sl:2", "sl:3", "adjoint", "classical",
+                                  "second-order"])
+def test_extended_actions_match_the_kron_reference(spec):
+    """The column-built operators equal the sum of Kronecker products of
+    whole matrices, for every symbol and k <= 4."""
+    table, symbols = _table(spec)
+    for s in symbols:
+        for k in range(5):
+            assert table.extended(s, k) == extended_reference(table, s, k), \
+                (s, k)
+
+
+def test_action_table_forms_no_kronecker_product(monkeypatch):
+    """Extended actions, words and their operators are built without a
+    Kronecker product or a sum of whole matrices."""
+    import braidalg.linalg as linalg
+    import braidalg.uqg as uqg
+    tables = [_table(spec) for spec in ("sl:3", "adjoint", "classical",
+                                        "second-order")]
+
+    def spy(name):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{name} called")
+        return refuse
+    for module in (linalg, uqg):
+        for name in ("kron", "combine"):
+            monkeypatch.setattr(module, name, spy(name), raising=False)
+    for table, symbols in tables:
+        for s in symbols:
+            for k in range(5):
+                table.extended(s, k)
+        table.operator(tuple(symbols[:3]), 3)
+        table.act(tuple(symbols[-2:]), {0: ONE, 1: Q}, 4)
 
 
 def test_act_matches_dense_columns():

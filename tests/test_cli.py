@@ -441,6 +441,49 @@ def test_builtin_space_is_not_built_again(monkeypatch, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate-r", "--builtin", "sl:3", "--show-minimal-poly"],
+    ["chi", "--builtin", "sl:3", "--poly", "x - q", "--hilbert"],
+    ["frt", "--builtin", "sl:2", "--max-degree", "2"]],
+    ids=["validate-r", "chi", "frt"])
+def test_builtin_braiding_commands_check_the_braid_once(argv, monkeypatch,
+                                                         capsys):
+    """A builtin braiding is checked once, when its space is built, and no
+    representation is built for a command that only needs the space."""
+    import braidalg.cli
+    import braidalg.linalg
+    checks, reps = [], []
+    check_braid = braidalg.linalg.check_braid
+
+    def counted(op):
+        checks.append(op.rows)
+        return check_braid(op)
+    for module in (braidalg.linalg, braidalg.cli):
+        monkeypatch.setattr(module, "check_braid", counted)
+    init = Representation.__init__
+
+    def counted_init(self, *args, **kwargs):
+        reps.append(args)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(Representation, "__init__", counted_init)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(checks) == 1 and reps == []
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("sl:1", "builtin sl(n) needs n >= 2"),
+    ("sl:x", "unknown builtin 'sl:x' (expected 'sl:n')"),
+    ("foo", "unknown builtin 'foo' (expected 'sl:n')")])
+def test_builtin_braiding_errors_are_unchanged(spec, message, capsys):
+    for argv in (["validate-r", "--builtin", spec],
+                 ["chi", "--builtin", spec, "--poly", "x - q"],
+                 ["frt", "--builtin", spec]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("spec", ["sl:3_0", "sl: 3", "sl:\u0663", "sl:x",
                                   "sl:", "sl:+3", "sl:3\n"],
                          ids=["underscore", "space", "arabic-indic", "letter",

@@ -10,10 +10,11 @@ from braidalg.builtin import adjoint_sl2, classical_space, sl2_lie_actions
 from braidalg.frt import pairing
 from braidalg.linalg import BraidedSpace, SymMatrix, kron
 from braidalg.ncalg import (DegreeBoundError, NCPoly, RelationSet,
-                            complete_rewrite, relations_from_image, word_str)
+                            complete_rewrite, relations_from_image,
+                            vector_to_poly, word_str)
 from braidalg.scalar import ONE, Q, parse_poly, q_integer
 from braidalg.uqg import (ActionTable, CartanData, Gen, GeneratorCoalgebra,
-                          Representation, UqPresentation, _measuring_residual,
+                          Representation, UqPresentation, _MeasuringContext,
                           _monomial_pairs, act_on_quotient, check_antipode,
                           check_derivation_measuring, check_ideal_preserved,
                           check_measuring, check_preserves_R,
@@ -608,10 +609,13 @@ def _recount(report, actions, rs, pairs, symbols, show_residual) -> list:
     whether each residual is zero."""
     assert len(report.items) == len(symbols)
     zeros = []
+    context = _MeasuringContext(actions, rs)
     for s, item in zip(symbols, report.items):
         bad, witness = 0, ""
         for a, b in pairs:
-            residual = _measuring_residual(actions, rs, s, a, b)
+            k = len(a) + len(b)
+            residual = vector_to_poly(context.measuring_residual(
+                s, context.ideal_vector(a + b), k), rs.alphabet, k)
             expect = measuring_residual_reference(actions, rs, s, a, b)
             assert residual == expect, (s, a, b)
             assert residual.render(rs.names) == expect.render(rs.names), \
@@ -679,6 +683,32 @@ def test_measuring_residual_agrees_with_the_sweedler_split(sl2, sl3):
                           symbols, False)
     assert (0, 1, 0) in rs.rules and not report.passed
     assert set(zeros) == {True, False}
+
+
+def test_measuring_works_on_word_indices_one_ideal_vector_per_word(
+        sl3, monkeypatch):
+    """A passing check renders no residual: it makes no polynomial of one,
+    and the ideal vector NF(ab) - ab of each product word is built once,
+    however many symbols the check covers."""
+    import braidalg.uqg as uqg
+
+    def refuse(*args):
+        raise AssertionError("a residual was made a polynomial")
+    monkeypatch.setattr(uqg, "vector_to_poly", refuse)
+    built = []
+    ideal_vector = uqg._MeasuringContext.ideal_vector
+
+    def spy(self, word):
+        built.append(word)
+        return ideal_vector(self, word)
+    monkeypatch.setattr(uqg._MeasuringContext, "ideal_vector", spy)
+    rep, space = sl3
+    rs = complete_rewrite(relations_from_image(space, parse_poly("x - q")), 4)
+    report = check_measuring(rep, rs, max_degree=4)
+    assert report.passed and "exhaustive" in report.notes[0]
+    assert len(report.items) == 8
+    words = {a + b for a, b in _monomial_pairs(rs, 4)}
+    assert len(built) == len(words) and set(built) == words
 
 
 def test_any_assignment_measures_the_tensor_algebra(sl2):
